@@ -19,7 +19,7 @@ from repro.experiments.exec_time import (
     exec_time_vs_n,
 )
 from repro.experiments.figures import fig2a, fig2b, fig2c, fig2d
-from repro.experiments.parallel import run_named_experiment_parallel
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import (
     AggregateRow,
     ResultRow,
@@ -37,7 +37,7 @@ __all__ = [
     "SchedulerSpec",
     "SweepPoint",
     "run_experiment",
-    "run_named_experiment_parallel",
+    "run_named_experiment_resilient",
     "aggregate",
     "ResultRow",
     "AggregateRow",

@@ -22,6 +22,7 @@ from repro.experiments.runner import aggregate, run_experiment
 from repro.experiments.tables import format_series_table, format_timing_table, rows_to_csv
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
+from repro.run_options import RunOptions, add_run_options
 
 _BUILDERS: dict[str, Callable[..., ExperimentSpec]] = {
     "fig2a": figures.fig2a,
@@ -56,20 +57,13 @@ _TAKES_N_JOBS = {
 }
 
 
-#: Builders that accept the failure-aware/correlated-fault overrides.
+#: Builders that take the run options (:class:`~repro.run_options.RunOptions`).
 _TAKES_FAULT_OPTS = {"degradation_mtbf"}
 
-
-def _interval_arg(text: str):
-    """``--checkpoint-interval`` value: work units, or ``auto`` (Young/Daly)."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of work units or 'auto', got {text!r}"
-        ) from None
+_FAULT_OPTS_ONLY = (
+    "--failure-aware/--fault-correlation/--fault-groups/--checkpoint-interval/"
+    "--checkpoint-cost/--retry-budget apply only to: " + ", ".join(sorted(_TAKES_FAULT_OPTS))
+)
 
 
 def build_spec(
@@ -78,12 +72,7 @@ def build_spec(
     n_reps: int | None,
     n_jobs: int | None,
     seed: int | None,
-    failure_aware: bool = False,
-    correlation: int = 1,
-    fault_groups: str | None = None,
-    checkpoint_interval: float | str | None = None,
-    checkpoint_cost: float = 0.0,
-    retry_budget: int | None = None,
+    options: RunOptions = RunOptions(),
 ) -> ExperimentSpec:
     """Instantiate a named experiment with optional overrides."""
     kwargs = {}
@@ -96,33 +85,10 @@ def build_spec(
     if n_jobs is not None and name in ("fig2c", "fig2d", "exec_time_vs_n"):
         key = "n_jobs_values" if name.startswith("fig") else "n_values"
         kwargs[key] = (n_jobs,)
-    fault_opts = (
-        failure_aware
-        or correlation != 1
-        or fault_groups is not None
-        or checkpoint_interval is not None
-        or checkpoint_cost != 0.0
-        or retry_budget is not None
-    )
     if name in _TAKES_FAULT_OPTS:
-        if failure_aware:
-            kwargs["failure_aware"] = True
-        if correlation != 1:
-            kwargs["correlation"] = correlation
-        if fault_groups is not None:
-            kwargs["fault_groups"] = fault_groups
-        if checkpoint_interval is not None:
-            kwargs["checkpoint_interval"] = checkpoint_interval
-        if checkpoint_cost != 0.0:
-            kwargs["checkpoint_cost"] = checkpoint_cost
-        if retry_budget is not None:
-            kwargs["retry_budget"] = retry_budget
-    elif fault_opts:
-        raise ValueError(
-            f"experiment {name!r} does not take the fault/checkpoint options "
-            "(--failure-aware/--fault-correlation/--fault-groups/"
-            "--checkpoint-interval/--checkpoint-cost/--retry-budget)"
-        )
+        kwargs["options"] = options
+    elif options != RunOptions():
+        raise ValueError(f"experiment {name!r}: {_FAULT_OPTS_ONLY}")
     return _BUILDERS[name](**kwargs)
 
 
@@ -166,60 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=None, help="replications per point")
     parser.add_argument("--n-jobs", type=int, default=None, help="jobs per instance")
     parser.add_argument("--seed", type=int, default=None, help="root seed")
-    parser.add_argument(
-        "--failure-aware",
-        action="store_true",
-        help="add the failure-aware ssf-edf-fa, srpt-fa and fcfs-fa "
-        "variants to the roster (degradation_mtbf only)",
-    )
-    parser.add_argument(
-        "--fault-correlation",
-        type=int,
-        default=1,
-        metavar="G",
-        help="correlated-failure group size: consecutive resources in "
-        "groups of G share fault windows (degradation_mtbf only; "
-        "default 1 = independent)",
-    )
-    parser.add_argument(
-        "--fault-groups",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="topology-driven correlated fault groups, e.g. "
-        "'edge:0-4;link:0-4;cloud:0,1' — each listed group shares one "
-        "failure renewal sequence; memberships may overlap "
-        "(degradation_mtbf only; mutually exclusive with "
-        "--fault-correlation)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=_interval_arg,
-        default=None,
-        metavar="WORK|auto",
-        help="enable the checkpoint/restart variant: commit progress every "
-        "WORK work units, or 'auto' to derive each sweep cell's interval "
-        "with the Young/Daly rule sqrt(2*MTBF*cost) from its fault rates "
-        "(needs a positive --checkpoint-cost); adds the ssf-edf-fa+ckpt "
-        "and ssf-edf-fa-rework+ckpt roster entries (degradation_mtbf only)",
-    )
-    parser.add_argument(
-        "--checkpoint-cost",
-        type=float,
-        default=0.0,
-        metavar="WORK",
-        help="extra work burned per checkpoint commit (with "
-        "--checkpoint-interval; default 0)",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=None,
-        metavar="K",
-        help="graceful degradation: abandon a job after K fault-aborted "
-        "attempts instead of retrying forever (checkpoint variant roster "
-        "entries; degradation_mtbf only)",
-    )
     parser.add_argument("--csv", type=str, default=None, help="also write raw rows to this CSV file")
     parser.add_argument(
         "--svg-dir",
@@ -320,7 +232,14 @@ def main(argv: list[str] | None = None) -> int:
         "complete (fed by the harness.* counters; no effect on results)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    add_run_options(
+        parser,
+        "degradation_mtbf only: --failure-aware adds ssf-edf-fa, srpt-fa and "
+        "fcfs-fa to the roster; --checkpoint-interval or --retry-budget adds "
+        "ssf-edf-fa+ckpt and ssf-edf-fa-rework+ckpt",
+    )
     args = parser.parse_args(argv)
+    options = RunOptions.from_args(parser, args)
     instrument = tuple(args.instrument) if args.instrument else None
     if args.telemetry_out and instrument is None:
         instrument = DEFAULT_TELEMETRY_HOOKS
@@ -339,50 +258,30 @@ def main(argv: list[str] | None = None) -> int:
             "--timeout/--on-cell-error/--checkpoint/--resume need a single "
             "experiment, not 'all'"
         )
-    fault_opts = (
-        args.failure_aware
-        or args.fault_correlation != 1
-        or args.fault_groups is not None
-        or args.checkpoint_interval is not None
-        or args.checkpoint_cost != 0.0
-        or args.retry_budget is not None
-    )
-    if fault_opts and args.experiment not in _TAKES_FAULT_OPTS:
-        parser.error(
-            "--failure-aware/--fault-correlation/--fault-groups/"
-            "--checkpoint-interval/--checkpoint-cost/--retry-budget apply "
-            "only to: " + ", ".join(sorted(_TAKES_FAULT_OPTS))
-        )
-    if args.fault_groups is not None and args.fault_correlation != 1:
-        parser.error("--fault-groups and --fault-correlation are mutually exclusive")
-    if args.checkpoint_cost != 0.0 and args.checkpoint_interval is None:
-        parser.error("--checkpoint-cost requires --checkpoint-interval")
+    if options != RunOptions() and args.experiment not in _TAKES_FAULT_OPTS:
+        parser.error(_FAULT_OPTS_ONLY)
     if args.checkpoint_group < 1:
         parser.error("--checkpoint-group must be positive")
+    if args.workers < 1:
+        parser.error("--workers must be positive")
+    if args.timeout is not None and not args.timeout > 0:
+        parser.error("--timeout must be positive")
 
     names = sorted(_BUILDERS) if args.experiment == "all" else [args.experiment]
     any_quarantined = False
     all_csv: list[str] = []
     telemetry_records: list[dict] = []
+    pooled = resilient or args.workers > 1 or args.progress
     for name in names:
         spec = build_spec(
-            name,
-            n_reps=args.reps,
-            n_jobs=args.n_jobs,
-            seed=args.seed,
-            failure_aware=args.failure_aware,
-            correlation=args.fault_correlation,
-            fault_groups=args.fault_groups,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_cost=args.checkpoint_cost,
-            retry_budget=args.retry_budget,
+            name, n_reps=args.reps, n_jobs=args.n_jobs, seed=args.seed, options=options
         )
         harness_stats = None
-        if args.telemetry_out and (resilient or args.workers > 1 or args.progress):
+        if args.telemetry_out and pooled:
             from repro.obs.harness import HarnessStats
 
             harness_stats = HarnessStats()
-        if resilient:
+        if pooled:
             from repro.experiments.parallel import run_named_experiment_resilient
 
             outcome = run_named_experiment_resilient(
@@ -391,12 +290,7 @@ def main(argv: list[str] | None = None) -> int:
                 n_reps=args.reps,
                 n_jobs=args.n_jobs,
                 seed=args.seed,
-                failure_aware=args.failure_aware,
-                correlation=args.fault_correlation,
-                fault_groups=args.fault_groups,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_cost=args.checkpoint_cost,
-                retry_budget=args.retry_budget,
+                options=options,
                 instrument=instrument,
                 timeout_s=args.timeout,
                 on_error=args.on_cell_error,
@@ -425,25 +319,6 @@ def main(argv: list[str] | None = None) -> int:
                         f"attempts={q.attempts}: {q.error}",
                         file=sys.stderr,
                     )
-        elif args.workers > 1 or args.progress:
-            from repro.experiments.parallel import run_named_experiment_parallel
-
-            rows = run_named_experiment_parallel(
-                name,
-                n_workers=args.workers,
-                n_reps=args.reps,
-                n_jobs=args.n_jobs,
-                seed=args.seed,
-                failure_aware=args.failure_aware,
-                correlation=args.fault_correlation,
-                fault_groups=args.fault_groups,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_cost=args.checkpoint_cost,
-                retry_budget=args.retry_budget,
-                instrument=instrument,
-                stats=harness_stats,
-                progress=args.progress,
-            )
         else:
             rows = run_experiment(spec, progress=not args.quiet, instrument=instrument)
         agg = aggregate(rows)

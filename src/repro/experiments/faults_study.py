@@ -9,7 +9,7 @@ instead of chosen by the scheduler).
 
 Every sweep point shares the instance distribution and differs only in
 the fault model: failures arrive as a seeded renewal process
-(:func:`repro.faults.model.exponential_fault_trace`) whose horizon
+(:func:`repro.faults.model.instance_fault_trace`) whose horizon
 covers the whole run, with a fixed mean time to repair, so smaller MTBF
 means strictly more downtime.  Instance, availability, and fault
 streams are drawn in a fixed order from the cell's generator, so the
@@ -22,41 +22,20 @@ from typing import Sequence
 
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.faults.model import FaultClassParams, exponential_fault_trace, parse_fault_groups
+from repro.faults.model import instance_fault_trace
 from repro.faults.trace import FaultTrace
-from repro.sim.checkpoint import CheckpointPolicy
+from repro.run_options import RunOptions
 from repro.workloads.random_uniform import (
     RandomInstanceConfig,
     generate_random_instance,
     paper_random_platform,
 )
 
-#: Fraction of an outage spent repairing: MTTR = MTTR_FRACTION * MTBF.
-MTTR_FRACTION = 0.1
 
-
-def _fault_horizon(instance: Instance) -> float:
-    """A horizon safely past the end of any plausible schedule.
-
-    Last release plus the whole workload run serially at its best
-    speed; faults beyond the actual makespan are simply never reached.
-    """
-    return float(instance.release.max() + instance.min_time.sum())
-
-
-def _make_faults(mtbf: float, group_size: int = 1, groups=None):
+def _make_faults(mtbf: float, group_size: int, groups):
     def factory(instance: Instance, rng) -> FaultTrace:
-        params = FaultClassParams(mtbf=mtbf, mttr=MTTR_FRACTION * mtbf)
-        return exponential_fault_trace(
-            n_edge=instance.platform.n_edge,
-            n_cloud=instance.platform.n_cloud,
-            horizon=_fault_horizon(instance),
-            seed=rng,
-            edge=params,
-            cloud=params,
-            link=params,
-            group_size=group_size,
-            groups=groups,
+        return instance_fault_trace(
+            instance, mtbf=mtbf, seed=rng, group_size=group_size, groups=groups
         )
 
     return factory
@@ -70,30 +49,25 @@ def degradation_mtbf(
     ccr: float = 1.0,
     load: float = 0.5,
     seed: int = 20210601,
-    failure_aware: bool = False,
-    correlation: int = 1,
-    fault_groups: str | None = None,
-    checkpoint_interval: float | str | None = None,
-    checkpoint_cost: float = 0.0,
-    retry_budget: int | None = None,
+    options: RunOptions = RunOptions(),
 ) -> ExperimentSpec:
     """Max-stretch degradation as resources get less reliable.
 
     x is the per-resource MTBF in time units (smaller = failures more
-    frequent); MTTR is pinned at :data:`MTTR_FRACTION` of the MTBF so
-    the long-run unavailable fraction is constant and the x-axis
-    isolates failure *frequency* (how often work is lost) rather than
-    capacity.
+    frequent); MTTR is pinned at
+    :data:`~repro.faults.model.MTTR_FRACTION` of the MTBF so the
+    long-run unavailable fraction is constant and the x-axis isolates
+    failure *frequency* (how often work is lost) rather than capacity.
 
-    ``failure_aware`` adds the ``ssf-edf-fa``, ``srpt-fa`` and
-    ``fcfs-fa`` variants
-    to the roster (all schedule from the run's shared *discounted*
-    capacity outlook, see :mod:`repro.capacity`) for a fault-oblivious
-    vs failure-aware comparison on identical fault realizations.  ``correlation`` is the
-    correlated-failure group size: consecutive resources in groups of
-    that size share their fault windows (1 = independent);
-    ``fault_groups`` instead takes a topology-driven group spec
-    (``"edge:0-4;link:0-4"``, see
+    ``options`` (:class:`~repro.run_options.RunOptions`) extends the
+    study.  ``failure_aware`` adds the ``ssf-edf-fa``, ``srpt-fa`` and
+    ``fcfs-fa`` variants to the roster (all schedule from the run's
+    shared *discounted* capacity outlook, see :mod:`repro.capacity`)
+    for a fault-oblivious vs failure-aware comparison on identical fault
+    realizations.  ``correlation`` is the correlated-failure group size:
+    consecutive resources in groups of that size share their fault
+    windows (1 = independent); ``fault_groups`` instead takes a
+    topology-driven group spec (``"edge:0-4;link:0-4"``, see
     :func:`repro.faults.model.parse_fault_groups`).  Adding a roster
     entry does not perturb the shared instance/fault streams, so the
     baseline columns are unchanged.
@@ -110,7 +84,7 @@ def degradation_mtbf(
     own fault rates, so every sweep point commits at *its* MTBF's
     optimal cadence rather than one hand-picked constant.
     """
-    groups = parse_fault_groups(fault_groups) if fault_groups is not None else None
+    group_size, groups = options.fault_layout()
     points = tuple(
         SweepPoint(
             x=mtbf,
@@ -121,7 +95,7 @@ def degradation_mtbf(
                     seed=rng,
                 )
             ),
-            make_faults=_make_faults(mtbf, correlation, groups),
+            make_faults=_make_faults(mtbf, group_size, groups),
             # Lower MTBF means more fault-killed attempts re-executed,
             # so a cell's work grows as its MTBF shrinks; the hint only
             # orders dispatch (docs/HARNESS.md), it never affects rows.
@@ -134,18 +108,12 @@ def degradation_mtbf(
         SchedulerSpec.named("greedy"),
         SchedulerSpec.named("ssf-edf"),
     ]
-    if failure_aware:
+    if options.failure_aware:
         schedulers.append(SchedulerSpec.named("ssf-edf-fa"))
         schedulers.append(SchedulerSpec.named("srpt-fa"))
         schedulers.append(SchedulerSpec.named("fcfs-fa"))
-    if checkpoint_interval is not None or retry_budget is not None:
-        auto = checkpoint_interval == "auto"
-        policy = CheckpointPolicy(
-            interval=None if auto else checkpoint_interval,
-            commit_cost=checkpoint_cost,
-            retry_budget=retry_budget,
-            auto_interval=auto,
-        )
+    policy = options.checkpoint_policy()
+    if policy is not None:
         schedulers.append(
             SchedulerSpec.named("ssf-edf-fa", label="ssf-edf-fa+ckpt", checkpoint=policy)
         )

@@ -36,18 +36,17 @@ identical scalar rows.  The harness additionally observes *itself*
 (cells/sec, busy fraction, straggler ratio, pickle bytes, pool
 rebuilds) into an optional :class:`~repro.obs.harness.HarnessStats`.
 
-Two entry points:
-
-* :func:`run_named_experiment_parallel` — the fast path: dynamic
-  dispatch, fail on the first bad cell (its historical contract);
-* :func:`run_named_experiment_resilient` — the crash-safe harness:
-  per-cell wall-clock timeouts (SIGALRM inside the worker), a bounded
-  retry/skip policy for failing cells, incremental JSONL checkpointing
-  of completed cells (:mod:`repro.experiments.checkpoint`) with resume,
-  survival of worker-process deaths (the pool is rebuilt and unfinished
-  cells resubmitted), and a quarantine report of cells that never
-  succeeded.  Completed-cell results are identical between the two
-  paths and the serial runner.
+One entry point, :func:`run_named_experiment_resilient`, runs every
+pooled or inline sweep.  Its ``on_error`` policy decides what a failing
+cell does to the sweep: ``"fail"`` (the default) aborts on the first
+bad cell, ``"skip"`` quarantines it, and ``"retry"`` re-runs it a
+bounded number of times first.  On top of that it offers per-cell
+wall-clock timeouts (SIGALRM inside the worker), incremental JSONL
+checkpointing of completed cells (:mod:`repro.experiments.checkpoint`)
+with resume, survival of worker-process deaths (the pool is rebuilt and
+unfinished cells resubmitted), and a quarantine report of cells that
+never succeeded.  Completed cells are identical to the serial runner's
+(:func:`repro.experiments.runner.run_experiment`).
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from repro.experiments.dispatch import dispatch_order, effective_window, predict
 from repro.experiments.runner import ResultRow, WarmState, run_cell
 from repro.experiments.wire import pack_rows, unpack_rows
 from repro.obs.harness import HarnessStats, ProgressReporter
+from repro.run_options import RunOptions
 
 #: Pool rebuilds tolerated after worker-process deaths before the
 #: remaining cells are quarantined (only under skip/retry policies).
@@ -99,7 +99,7 @@ def _backoff_delay(base: float, attempt: int, cap: float = MAX_BACKOFF_S) -> flo
 # for: the rebuilt spec plus the WarmState holding reusable scheduler
 # and hook objects.  Lives at module level so a forked pool worker
 # accumulates it across the cells it executes; the driver process uses
-# the same cache on the inline (n_workers == 1) paths.
+# the same cache on the inline (n_workers == 1) path.
 
 _SPEC_CACHE: dict[tuple[str, str], tuple[object, WarmState]] = {}
 
@@ -111,55 +111,41 @@ def _cache_key(name: str, overrides: dict) -> tuple[str, str]:
     return (name, _dumps(overrides))
 
 
+def _spec_for(name: str, overrides: dict):
+    """Build the named spec from a sweep's flat overrides dict."""
+    from repro.experiments.cli import build_spec
+
+    return build_spec(
+        name,
+        n_reps=overrides["n_reps"],
+        n_jobs=overrides["n_jobs"],
+        seed=overrides["seed"],
+        options=RunOptions.from_overrides(overrides),
+    )
+
+
+def _cell_error(name: str, point_index: int, rep: int, exc: BaseException, where=""):
+    """A :class:`ModelError` naming the failed cell (chain ``exc`` to it)."""
+    return ModelError(
+        f"experiment {name!r} cell (point={point_index}, rep={rep}) "
+        f"failed: {type(exc).__name__}: {exc}{where}"
+    )
+
+
 def _cell_context(name: str, overrides: dict, point_index: int, rep: int):
     """The (spec, warm state) for a cell, memoized per process."""
     global _SPEC_BUILDS
     key = _cache_key(name, overrides)
     entry = _SPEC_CACHE.get(key)
     if entry is None:
-        from repro.experiments.cli import build_spec
-
         try:
-            spec = build_spec(name, **overrides)
+            spec = _spec_for(name, overrides)
         except Exception as exc:
-            raise ModelError(
-                f"experiment {name!r} cell (point={point_index}, rep={rep}) "
-                f"failed: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _cell_error(name, point_index, rep, exc) from exc
         entry = (spec, WarmState())
         _SPEC_CACHE[key] = entry
         _SPEC_BUILDS += 1
     return entry
-
-
-def _run_named_cell(args: tuple) -> tuple[int, int, list[ResultRow]]:
-    """Worker entry: rebuild the spec by name and run one cell.
-
-    Any exception is re-raised as a :class:`ModelError` naming the cell
-    — and, once the spec is known, its x-value and root seed — with the
-    original exception chained, so the parent sees *which* (experiment,
-    point, rep) failed and why instead of a bare traceback pickled out
-    of an anonymous worker.  :class:`CellTimeoutError` passes through
-    untouched so the driver can classify timeouts.
-    """
-    name, overrides, point_index, rep, instrument = args
-    spec, warm = _cell_context(name, overrides, point_index, rep)
-    try:
-        return point_index, rep, run_cell(
-            spec, point_index, rep, instrument=instrument, warm=warm
-        )
-    except CellTimeoutError:
-        raise
-    except Exception as exc:
-        x = (
-            f"{spec.points[point_index].x:g}"
-            if 0 <= point_index < len(spec.points)
-            else "?"
-        )
-        raise ModelError(
-            f"experiment {name!r} cell (point={point_index}, rep={rep}) "
-            f"failed: {type(exc).__name__}: {exc} [x={x}, root_seed={spec.seed}]"
-        ) from exc
 
 
 @contextmanager
@@ -190,47 +176,55 @@ def _cell_deadline(timeout_s: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _run_guarded_cell(args: tuple) -> tuple[int, int, list[ResultRow]]:
-    """Worker entry of the resilient path: a cell under a deadline."""
-    name, overrides, point_index, rep, instrument, timeout_s = args
-    with _cell_deadline(timeout_s):
-        return _run_named_cell((name, overrides, point_index, rep, instrument))
+def _run_named_cell(args: tuple) -> tuple:
+    """Rebuild the spec by name and run one cell under its deadline.
 
+    Returns ``(rows, wall_s, spec_builds_delta, instance_builds_delta)``;
+    the deltas let the driver sum exact warm-state counters across
+    workers without knowing which worker ran what.
 
-def _run_cell_payload(args: tuple) -> tuple:
-    """Pool worker entry: one cell, returned as a compact wire payload.
-
-    ``(point, rep, packed_rows, wall_s, spec_builds_delta,
-    instance_builds_delta)`` — the rows ride the deflated tuple format
-    of :mod:`repro.experiments.wire` (:func:`pack_rows`); the deltas
-    let the driver sum exact warm-state counters across workers without
-    knowing which worker ran what.
+    Any exception is re-raised as a :class:`ModelError` naming the cell
+    — and, once the spec is known, its x-value and root seed — with the
+    original exception chained, so the parent sees *which* (experiment,
+    point, rep) failed and why instead of a bare traceback pickled out
+    of an anonymous worker.  :class:`CellTimeoutError` passes through
+    untouched so the driver can classify timeouts.
     """
     name, overrides, point_index, rep, instrument, timeout_s = args
     builds_before = _SPEC_BUILDS
-    key = _cache_key(name, overrides)
-    entry = _SPEC_CACHE.get(key)
+    entry = _SPEC_CACHE.get(_cache_key(name, overrides))
     instances_before = entry[1].instance_builds if entry is not None else 0
     t0 = time.perf_counter()
     with _cell_deadline(timeout_s):
-        point_index, rep, rows = _run_named_cell(
-            (name, overrides, point_index, rep, instrument)
-        )
-    wall = time.perf_counter() - t0
-    warm = _SPEC_CACHE[key][1]
+        spec, warm = _cell_context(name, overrides, point_index, rep)
+        try:
+            rows = run_cell(spec, point_index, rep, instrument=instrument, warm=warm)
+        except CellTimeoutError:
+            raise
+        except Exception as exc:
+            x = (
+                f"{spec.points[point_index].x:g}"
+                if 0 <= point_index < len(spec.points)
+                else "?"
+            )
+            where = f" [x={x}, root_seed={spec.seed}]"
+            raise _cell_error(name, point_index, rep, exc, where) from exc
     return (
-        point_index,
-        rep,
-        pack_rows(rows),
-        wall,
+        rows,
+        time.perf_counter() - t0,
         _SPEC_BUILDS - builds_before,
         warm.instance_builds - instances_before,
     )
 
 
-def _payload_bytes(payload: tuple) -> int:
-    """Size of a result payload's row blob (what dominates the pipe)."""
-    return len(payload[2])
+def _run_cell_payload(args: tuple) -> tuple:
+    """Pool worker entry: :func:`_run_named_cell` with its rows packed.
+
+    The rows ride the deflated tuple format of
+    :mod:`repro.experiments.wire` (:func:`pack_rows`).
+    """
+    rows, *counters = _run_named_cell(args)
+    return (pack_rows(rows), *counters)
 
 
 def _validated_workers(n_workers: int | None) -> int:
@@ -250,173 +244,6 @@ def _known_experiment(name: str) -> None:
         )
 
 
-def _sweep_overrides(
-    *,
-    n_reps: int | None,
-    n_jobs: int | None,
-    seed: int | None,
-    failure_aware: bool,
-    correlation: int,
-    fault_groups: str | None,
-    checkpoint_interval: float | str | None,
-    checkpoint_cost: float,
-    retry_budget: int | None,
-) -> dict:
-    """The overrides dict shipped to workers and pinned in checkpoints.
-
-    Non-default fault options only: default runs keep the historical
-    overrides shape (checkpoint headers compare overrides verbatim).
-    """
-    overrides = {"n_reps": n_reps, "n_jobs": n_jobs, "seed": seed}
-    if failure_aware:
-        overrides["failure_aware"] = True
-    if correlation != 1:
-        overrides["correlation"] = correlation
-    if fault_groups is not None:
-        overrides["fault_groups"] = fault_groups
-    if checkpoint_interval is not None:
-        overrides["checkpoint_interval"] = checkpoint_interval
-    if checkpoint_cost != 0.0:
-        overrides["checkpoint_cost"] = checkpoint_cost
-    if retry_budget is not None:
-        overrides["retry_budget"] = retry_budget
-    return overrides
-
-
-def _inline_warm_counters(stats: HarnessStats | None, name: str, overrides: dict):
-    """Snapshot the driver-process warm counters for an inline sweep."""
-    if stats is None:
-        return None
-    entry = _SPEC_CACHE.get(_cache_key(name, overrides))
-    return (
-        _SPEC_BUILDS,
-        entry[1].instance_builds if entry is not None else 0,
-    )
-
-
-def _inline_warm_settle(stats: HarnessStats | None, name: str, overrides: dict, before):
-    if stats is None or before is None:
-        return
-    builds_before, instances_before = before
-    entry = _SPEC_CACHE.get(_cache_key(name, overrides))
-    stats.spec_builds += _SPEC_BUILDS - builds_before
-    if entry is not None:
-        stats.instance_builds += entry[1].instance_builds - instances_before
-
-
-def run_named_experiment_parallel(
-    name: str,
-    *,
-    n_workers: int | None = None,
-    n_reps: int | None = None,
-    n_jobs: int | None = None,
-    seed: int | None = None,
-    failure_aware: bool = False,
-    correlation: int = 1,
-    fault_groups: str | None = None,
-    checkpoint_interval: float | str | None = None,
-    checkpoint_cost: float = 0.0,
-    retry_budget: int | None = None,
-    instrument: "tuple[str, ...] | None" = None,
-    stats: HarnessStats | None = None,
-    progress: bool = False,
-) -> list[ResultRow]:
-    """Run the named experiment with cells fanned out over processes.
-
-    Returns rows in the same order as the serial runner (points outer,
-    replications inner, schedulers innermost) regardless of dispatch
-    order.  ``instrument`` names registered engine hooks; names (not
-    hook objects) cross the process boundary.  ``stats`` (optional)
-    collects the ``harness.*`` metrics; ``progress`` prints a live
-    cells/sec + ETA line on stderr.  The first failing cell aborts the
-    sweep — use :func:`run_named_experiment_resilient` for
-    timeout/retry/checkpoint semantics.
-    """
-    from repro.experiments.cli import build_spec
-
-    _known_experiment(name)
-    n_workers = _validated_workers(n_workers)
-
-    overrides = _sweep_overrides(
-        n_reps=n_reps,
-        n_jobs=n_jobs,
-        seed=seed,
-        failure_aware=failure_aware,
-        correlation=correlation,
-        fault_groups=fault_groups,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_cost=checkpoint_cost,
-        retry_budget=retry_budget,
-    )
-    spec = build_spec(name, **overrides)
-    ordered = dispatch_order(spec)
-    total = len(ordered)
-    reporter = ProgressReporter(name, total, enabled=progress)
-    t_start = time.monotonic()
-
-    completed: dict[tuple[int, int], list[ResultRow]] = {}
-    if n_workers == 1:
-        if stats is not None:
-            stats.n_workers = 1
-            stats.window = 1
-        before = _inline_warm_counters(stats, name, overrides)
-        # Serial cell order on one worker: byte-identical either way,
-        # and it keeps the inline path boring and debuggable.
-        for point_index in range(len(spec.points)):
-            for rep in range(spec.n_reps):
-                t0 = time.perf_counter()
-                _, _, rows = _run_named_cell(
-                    (name, overrides, point_index, rep, instrument)
-                )
-                completed[(point_index, rep)] = rows
-                if stats is not None:
-                    stats.record_cell(
-                        cost=predict_cell_cost(spec, point_index),
-                        wall_s=time.perf_counter() - t0,
-                    )
-                reporter.cell_done()
-        _inline_warm_settle(stats, name, overrides, before)
-    else:
-        window = effective_window(n_workers)
-        pool_size = min(n_workers, window)
-        if stats is not None:
-            stats.n_workers = pool_size
-            stats.window = window
-        pending = deque(ordered)
-        inflight: dict = {}
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            while pending or inflight:
-                while pending and len(inflight) < window:
-                    cell = pending.popleft()
-                    fut = pool.submit(
-                        _run_cell_payload,
-                        (name, overrides, cell[0], cell[1], instrument, None),
-                    )
-                    inflight[fut] = cell
-                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    cell = inflight.pop(fut)
-                    payload = fut.result()  # first failure aborts the sweep
-                    completed[cell] = unpack_rows(payload[2])
-                    if stats is not None:
-                        stats.record_cell(
-                            cost=predict_cell_cost(spec, cell[0]),
-                            wall_s=payload[3],
-                            payload_bytes=_payload_bytes(payload),
-                            spec_builds=payload[4],
-                            instance_builds=payload[5],
-                        )
-                    reporter.cell_done()
-    if stats is not None:
-        stats.elapsed_s = time.monotonic() - t_start
-
-    rows: list[ResultRow] = []
-    for point_index in range(len(spec.points)):
-        for rep in range(spec.n_reps):
-            rows.extend(completed[(point_index, rep)])
-    return rows
-
-
 @dataclass(frozen=True)
 class QuarantinedCell:
     """A cell that never succeeded within the retry budget."""
@@ -429,7 +256,7 @@ class QuarantinedCell:
 
 @dataclass
 class SweepOutcome:
-    """What a resilient sweep produced.
+    """What a sweep produced.
 
     ``rows`` holds the completed cells' rows in serial order (missing
     cells simply contribute nothing); ``quarantined`` the cells that
@@ -450,12 +277,7 @@ def run_named_experiment_resilient(
     n_reps: int | None = None,
     n_jobs: int | None = None,
     seed: int | None = None,
-    failure_aware: bool = False,
-    correlation: int = 1,
-    fault_groups: str | None = None,
-    checkpoint_interval: float | str | None = None,
-    checkpoint_cost: float = 0.0,
-    retry_budget: int | None = None,
+    options: RunOptions = RunOptions(),
     instrument: "tuple[str, ...] | None" = None,
     timeout_s: float | None = None,
     on_error: str = "fail",
@@ -467,12 +289,21 @@ def run_named_experiment_resilient(
     stats: HarnessStats | None = None,
     progress: bool = False,
 ) -> SweepOutcome:
-    """Crash-safe sweep: timeouts, retry policy, checkpointing, resume.
+    """Run the named experiment's cells inline or over a process pool.
 
+    ``n_workers`` worker processes run the (point, rep) cells; 1 runs
+    them inline in serial order.  ``options`` are the run options the
+    experiment takes (:class:`~repro.run_options.RunOptions`).
+    ``instrument`` names registered engine hooks; names (not hook
+    objects) cross the process boundary.  ``stats`` (optional) collects
+    the ``harness.*`` metrics; ``progress`` prints a live cells/sec +
+    ETA line on stderr.
+
+    ``timeout_s`` (positive seconds) bounds each cell's wall clock.
     ``on_error`` decides what a failing (or timed-out) cell does to the
-    sweep: ``"fail"`` aborts on the first failure (the fast path's
-    behavior), ``"skip"`` quarantines it immediately, ``"retry"``
-    re-runs it up to ``max_retries`` more times before quarantining.
+    sweep: ``"fail"`` aborts on the first failure, ``"skip"``
+    quarantines it immediately, ``"retry"`` re-runs it up to
+    ``max_retries`` more times before quarantining.
     ``retry_backoff`` inserts a deterministic exponential pause before
     each re-run (``base * 2**(attempt-1)`` seconds, capped at
     :data:`MAX_BACKOFF_S`) — useful when cells fail on transient
@@ -489,9 +320,11 @@ def run_named_experiment_resilient(
     ``"fail"`` it aborts, but committed cells are already on disk for
     ``--resume``).
 
-    Completed cells are byte-identical to the serial runner's — every
-    cell derives its RNG stream from the root seed alone, so neither
-    execution order, retries, nor a resume change any result.
+    Rows come back in serial order (points outer, replications inner,
+    schedulers innermost) and are byte-identical to the serial
+    runner's — every cell derives its RNG stream from the root seed
+    alone, so neither execution order, retries, nor a resume change any
+    result.
     """
     _known_experiment(name)
     n_workers = _validated_workers(n_workers)
@@ -503,25 +336,15 @@ def run_named_experiment_resilient(
         raise ModelError(f"max_retries must be non-negative, got {max_retries}")
     if retry_backoff < 0:
         raise ModelError(f"retry_backoff must be non-negative, got {retry_backoff}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ModelError(f"timeout_s must be positive, got {timeout_s}")
     if resume and checkpoint_path is None:
         raise ModelError("resume=True requires a checkpoint_path")
     if checkpoint_group < 1:
         raise ModelError(f"checkpoint_group must be positive, got {checkpoint_group}")
 
-    from repro.experiments.cli import build_spec
-
-    overrides = _sweep_overrides(
-        n_reps=n_reps,
-        n_jobs=n_jobs,
-        seed=seed,
-        failure_aware=failure_aware,
-        correlation=correlation,
-        fault_groups=fault_groups,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_cost=checkpoint_cost,
-        retry_budget=retry_budget,
-    )
-    spec = build_spec(name, **overrides)
+    overrides = options.to_overrides(n_reps=n_reps, n_jobs=n_jobs, seed=seed)
+    spec = _spec_for(name, overrides)
     all_cells = [
         (point_index, rep)
         for point_index in range(len(spec.points))
@@ -542,7 +365,6 @@ def run_named_experiment_resilient(
         store.start(fresh=not resume)
 
     outcome = SweepOutcome(n_from_checkpoint=len(completed))
-    pending = [c for c in dispatch_order(spec) if c not in completed]
     attempts: dict[tuple[int, int], int] = {}
     quarantined: dict[tuple[int, int], str] = {}
     reporter = ProgressReporter(name, len(all_cells), enabled=progress)
@@ -553,61 +375,49 @@ def run_named_experiment_resilient(
     def cell_args(cell: tuple[int, int]) -> tuple:
         return (name, overrides, cell[0], cell[1], instrument, timeout_s)
 
-    def record(cell: tuple[int, int], rows: list[ResultRow]) -> None:
+    def record(cell, rows, wall_s, spec_builds, instance_builds, payload_bytes=0):
+        """Keep a completed cell's rows and account for it."""
         completed[cell] = rows
         outcome.n_executed += 1
         if store is not None:
             store.append(cell[0], cell[1], rows)
+        if stats is not None:
+            stats.record_cell(
+                cost=predict_cell_cost(spec, cell[0]),
+                wall_s=wall_s,
+                payload_bytes=payload_bytes,
+                spec_builds=spec_builds,
+                instance_builds=instance_builds,
+            )
         reporter.cell_done()
 
-    def on_failure(cell: tuple[int, int], exc: BaseException) -> bool:
-        """Apply the policy; True means the cell should be retried."""
+    def on_failure(cell: tuple[int, int], exc: BaseException) -> float | None:
+        """Apply the policy: the pause before a retry, or None for none."""
         attempts[cell] = attempts.get(cell, 0) + 1
         if on_error == "fail":
             if isinstance(exc, ModelError):
                 raise exc
-            raise ModelError(
-                f"experiment {name!r} cell (point={cell[0]}, rep={cell[1]}) "
-                f"failed: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _cell_error(name, cell[0], cell[1], exc) from exc
         if on_error == "retry" and attempts[cell] <= max_retries:
-            return True
+            return _backoff_delay(retry_backoff, attempts[cell])
         quarantined[cell] = f"{type(exc).__name__}: {exc}"
-        return False
+        return None
 
     try:
         if n_workers == 1:
             if stats is not None:
                 stats.n_workers = 1
                 stats.window = 1
-            before = _inline_warm_counters(stats, name, overrides)
             # Serial cell order inline (dispatch order buys nothing on
             # one worker and serial order aids debugging).
-            queue = [c for c in all_cells if c not in completed]
-            while queue:
-                cell = queue.pop(0)
-                t0 = time.perf_counter()
-                try:
-                    _, _, rows = _run_guarded_cell(cell_args(cell))
-                except Exception as exc:
-                    if on_failure(cell, exc):
-                        delay = _backoff_delay(retry_backoff, attempts[cell])
-                        if delay:
-                            time.sleep(delay)
-                        queue.append(cell)
-                    continue
-                record(cell, rows)
-                if stats is not None:
-                    stats.record_cell(
-                        cost=predict_cell_cost(spec, cell[0]),
-                        wall_s=time.perf_counter() - t0,
-                    )
-            _inline_warm_settle(stats, name, overrides, before)
+            _run_inline(
+                [c for c in all_cells if c not in completed], cell_args, record, on_failure
+            )
         else:
             _run_pooled(
-                pending, cell_args, record, on_failure, quarantined, attempts,
-                n_workers, strict=on_error == "fail", retry_backoff=retry_backoff,
-                cost_of=lambda cell: predict_cell_cost(spec, cell[0]), stats=stats,
+                [c for c in dispatch_order(spec) if c not in completed], cell_args,
+                record, on_failure, quarantined, attempts, n_workers,
+                strict=on_error == "fail", stats=stats,
             )
         if stats is not None:
             stats.elapsed_s = time.monotonic() - t_start
@@ -630,6 +440,23 @@ def run_named_experiment_resilient(
     return outcome
 
 
+def _run_inline(pending: list[tuple[int, int]], cell_args, record, on_failure) -> None:
+    """Cell loop in the driver process; a retried cell goes to the back."""
+    queue = deque(pending)
+    while queue:
+        cell = queue.popleft()
+        try:
+            result = _run_named_cell(cell_args(cell))
+        except Exception as exc:
+            delay = on_failure(cell, exc)
+            if delay is not None:
+                if delay:
+                    time.sleep(delay)
+                queue.append(cell)
+            continue
+        record(cell, *result)
+
+
 def _run_pooled(
     pending: list[tuple[int, int]],
     cell_args,
@@ -640,9 +467,7 @@ def _run_pooled(
     n_workers: int,
     *,
     strict: bool,
-    retry_backoff: float = 0.0,
-    cost_of=None,
-    stats: HarnessStats | None = None,
+    stats: HarnessStats | None,
 ) -> None:
     """Dynamic-dispatch pool loop that survives worker-process deaths.
 
@@ -709,26 +534,17 @@ def _run_pooled(
                         ready.appendleft(cell)
                         continue
                     except Exception as exc:
-                        if on_failure(cell, exc):
-                            delay = _backoff_delay(retry_backoff, attempts[cell])
-                            if delay:
-                                tiebreak += 1
-                                heapq.heappush(
-                                    delayed,
-                                    (time.monotonic() + delay, tiebreak, cell),
-                                )
-                            else:
-                                ready.append(cell)
+                        delay = on_failure(cell, exc)
+                        if delay:
+                            tiebreak += 1
+                            heapq.heappush(
+                                delayed, (time.monotonic() + delay, tiebreak, cell)
+                            )
+                        elif delay is not None:
+                            ready.append(cell)
                         continue
-                    record(cell, unpack_rows(payload[2]))
-                    if stats is not None:
-                        stats.record_cell(
-                            cost=cost_of(cell) if cost_of is not None else 1.0,
-                            wall_s=payload[3],
-                            payload_bytes=_payload_bytes(payload),
-                            spec_builds=payload[4],
-                            instance_builds=payload[5],
-                        )
+                    blob, *counters = payload
+                    record(cell, unpack_rows(blob), *counters, payload_bytes=len(blob))
                 if broken is not None:
                     raise broken
             except BrokenProcessPool as exc:

@@ -35,7 +35,7 @@ the realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,9 +51,15 @@ from repro.faults.trace import (
 )
 from repro.util.rng import SeedLike, as_generator
 
+if TYPE_CHECKING:
+    from repro.core.instance import Instance
+
 #: One correlated fault group: a domain name ("edge" / "cloud" / "link")
 #: and the member resource indices sharing a renewal sequence.
 FaultGroup = tuple[str, tuple[int, ...]]
+
+#: Default fraction of an outage spent repairing: MTTR = MTTR_FRACTION * MTBF.
+MTTR_FRACTION = 0.1
 
 #: Down intervals shorter than this are discarded (zero-length intervals
 #: are invalid, and sub-tolerance outages cannot affect the simulation).
@@ -291,3 +297,43 @@ def exponential_fault_trace(
         link=None if link is None else RenewalRates(link.mtbf, link.mttr),
     )
     return FaultTrace(edge_down, cloud_down, link_down, rates=rates)
+
+
+def instance_fault_trace(
+    instance: Instance,
+    *,
+    mtbf: float,
+    mttr: float | None = None,
+    seed: SeedLike = None,
+    group_size: int = 1,
+    groups: Sequence[tuple[str, Sequence[int]]] | None = None,
+) -> FaultTrace:
+    """Exponential faults on every resource of ``instance``'s platform.
+
+    Edge units, cloud processors and links share one MTBF/MTTR;
+    ``mttr`` defaults to :data:`MTTR_FRACTION` of ``mtbf``.  The horizon
+    is the last release plus the whole workload run serially at its best
+    speed, safely past the end of any plausible schedule (faults beyond
+    the actual makespan are never reached).  ``group_size`` and
+    ``groups`` are passed to :func:`exponential_fault_trace`.  An
+    instance without jobs has no horizon and is a :class:`ModelError`.
+    """
+    if instance.n_jobs == 0:
+        raise ModelError(
+            "cannot inject faults into an empty instance (0 jobs): its fault "
+            "horizon, the last release plus the total minimal work time, is undefined"
+        )
+    params = FaultClassParams(
+        mtbf=mtbf, mttr=MTTR_FRACTION * mtbf if mttr is None else mttr
+    )
+    return exponential_fault_trace(
+        n_edge=instance.platform.n_edge,
+        n_cloud=instance.platform.n_cloud,
+        horizon=float(instance.release.max() + instance.min_time.sum()),
+        seed=seed,
+        edge=params,
+        cloud=params,
+        link=params,
+        group_size=group_size,
+        groups=groups,
+    )

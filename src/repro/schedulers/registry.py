@@ -43,6 +43,19 @@ _REGISTRY: dict[str, SchedulerFactory] = {
 #: The four policies evaluated in the paper's Section VI.
 PAPER_SCHEDULERS = ("edge-only", "greedy", "srpt", "ssf-edf")
 
+#: ``--failure-aware``: the failure-aware variant of each policy that has
+#: one.  Failure-aware policies map to themselves.
+FAILURE_AWARE_VARIANT = {
+    "ssf-edf": "ssf-edf-fa",
+    "greedy": "greedy-fa",
+    "srpt": "srpt-fa",
+    "fcfs": "fcfs-fa",
+    **{
+        fa: fa
+        for fa in ("ssf-edf-fa", "ssf-edf-fa-rework", "greedy-fa", "srpt-fa", "fcfs-fa")
+    },
+}
+
 
 def available_schedulers() -> tuple[str, ...]:
     """Registered scheduler names, sorted."""

@@ -20,29 +20,23 @@ import sys
 
 from repro.analysis.gantt import render_gantt
 from repro.analysis.timeline import all_breakdowns
+from repro.core.errors import ModelError
 from repro.core.metrics import utilization
 from repro.core.validation import validate_schedule
 from repro.io.json_format import load_instance, save_schedule
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
 from repro.obs.telemetry import RunTelemetry, collect_telemetry
-from repro.schedulers.registry import available_schedulers, make_scheduler
+from repro.run_options import RunOptions, add_run_options
+from repro.schedulers.registry import (
+    FAILURE_AWARE_VARIANT,
+    available_schedulers,
+    make_scheduler,
+)
 from repro.sim.engine import simulate
 from repro.sim.hooks import StepTimingProfiler, StretchWatermarkMonitor, make_hooks
 from repro.workloads.kang import KangConfig, generate_kang_instance
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
-
-
-def _interval_arg(text: str):
-    """``--checkpoint-interval`` value: work units, or ``auto`` (Young/Daly)."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of work units or 'auto', got {text!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,22 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-schedulers",
         action="store_true",
         help="list the registered schedulers (paper policies marked) and exit",
-    )
-    parser.add_argument(
-        "--failure-aware",
-        action="store_true",
-        help="run the failure-aware variant of the policy when one exists "
-        "(ssf-edf -> ssf-edf-fa, greedy -> greedy-fa, srpt -> srpt-fa, "
-        "fcfs -> fcfs-fa; schedules from the discounted capacity outlook)",
-    )
-    parser.add_argument(
-        "--fault-correlation",
-        type=int,
-        default=1,
-        metavar="G",
-        help="correlated-failure group size of the generated fault trace: "
-        "consecutive resources in groups of G share their fault windows "
-        "(default 1 = independent; needs --fault-mtbf)",
     )
     parser.add_argument("--gantt", action="store_true", help="render an ASCII Gantt chart")
     parser.add_argument("--width", type=int, default=100, help="gantt width in cells")
@@ -148,46 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the fault renewal process (independent of --seed)",
     )
     parser.add_argument(
-        "--fault-groups",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="topology-driven correlated fault groups, e.g. "
-        "'edge:0,1;link:0-2' — each listed group shares one failure "
-        "renewal sequence; memberships may overlap (needs --fault-mtbf; "
-        "mutually exclusive with --fault-correlation)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=_interval_arg,
-        default=None,
-        metavar="WORK|auto",
-        help="checkpoint/restart: commit compute progress every WORK work "
-        "units; a fault-aborted or re-placed attempt resumes from the "
-        "last commit instead of from scratch.  'auto' derives the "
-        "Young/Daly optimum sqrt(2*MTBF*cost) from the run's fault "
-        "rates (needs --fault-mtbf and a positive --checkpoint-cost)",
-    )
-    parser.add_argument(
-        "--checkpoint-cost",
-        type=float,
-        default=0.0,
-        metavar="WORK",
-        help="extra work burned per checkpoint commit (default 0)",
-    )
-    parser.add_argument(
         "--checkpoint-phases",
         action="store_true",
         help="also commit at the uplink/compute phase boundary (a completed "
         "upload survives later aborts)",
     )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=None,
-        metavar="K",
-        help="graceful degradation: abandon a job after K fault-aborted "
-        "attempts instead of retrying forever",
+    add_run_options(
+        parser,
+        "--fault-correlation, --fault-groups and --checkpoint-interval auto "
+        "need --fault-mtbf",
     )
     return parser
 
@@ -206,6 +153,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}{marker}")
         return 0
 
+    options = RunOptions.from_args(parser, args)
+    if args.fault_mtbf is None:
+        if args.fault_mttr is not None:
+            parser.error("--fault-mttr requires --fault-mtbf")
+        if options.correlation != 1:
+            parser.error("--fault-correlation requires --fault-mtbf")
+        if options.fault_groups is not None:
+            parser.error("--fault-groups requires --fault-mtbf")
+        if options.checkpoint_interval == "auto":
+            parser.error("--checkpoint-interval auto requires --fault-mtbf")
+
+    policy = args.policy
+    if options.failure_aware:
+        if policy not in FAILURE_AWARE_VARIANT:
+            parser.error(f"--failure-aware has no variant for policy {policy!r}")
+        policy = FAILURE_AWARE_VARIANT[policy]
+
     if args.generate == "random":
         instance = generate_random_instance(
             RandomInstanceConfig(n_jobs=args.n_jobs, ccr=args.ccr, load=args.load),
@@ -222,76 +186,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2  # pragma: no cover - parser.error raises
 
     faults = None
-    if args.fault_mttr is not None and args.fault_mtbf is None:
-        parser.error("--fault-mttr requires --fault-mtbf")
-    if args.fault_correlation != 1 and args.fault_mtbf is None:
-        parser.error("--fault-correlation requires --fault-mtbf")
-    if args.fault_groups is not None and args.fault_mtbf is None:
-        parser.error("--fault-groups requires --fault-mtbf")
-    if args.fault_groups is not None and args.fault_correlation != 1:
-        parser.error("--fault-groups and --fault-correlation are mutually exclusive")
     if args.fault_mtbf is not None:
-        from repro.faults import FaultClassParams, exponential_fault_trace, parse_fault_groups
+        from repro.faults.model import instance_fault_trace
 
-        params = FaultClassParams(
-            mtbf=args.fault_mtbf,
-            mttr=args.fault_mttr if args.fault_mttr is not None else 0.1 * args.fault_mtbf,
-        )
-        faults = exponential_fault_trace(
-            n_edge=instance.platform.n_edge,
-            n_cloud=instance.platform.n_cloud,
-            horizon=float(instance.release.max() + instance.min_time.sum()),
-            seed=args.fault_seed,
-            edge=params,
-            cloud=params,
-            link=params,
-            group_size=args.fault_correlation,
-            groups=(
-                parse_fault_groups(args.fault_groups)
-                if args.fault_groups is not None
-                else None
-            ),
-        )
-
-    checkpoint = None
-    if args.checkpoint_cost != 0.0 and args.checkpoint_interval is None:
-        parser.error("--checkpoint-cost requires --checkpoint-interval")
-    if args.checkpoint_interval == "auto" and args.fault_mtbf is None:
-        parser.error("--checkpoint-interval auto requires --fault-mtbf")
-    if (
-        args.checkpoint_interval is not None
-        or args.checkpoint_phases
-        or args.retry_budget is not None
-    ):
-        from repro.sim.checkpoint import CheckpointPolicy
-
-        auto = args.checkpoint_interval == "auto"
-        checkpoint = CheckpointPolicy(
-            interval=None if auto else args.checkpoint_interval,
-            commit_cost=args.checkpoint_cost,
-            phase_boundaries=args.checkpoint_phases,
-            retry_budget=args.retry_budget,
-            auto_interval=auto,
-        )
-
-    policy = args.policy
-    if args.failure_aware:
-        if policy == "ssf-edf":
-            policy = "ssf-edf-fa"
-        elif policy == "greedy":
-            policy = "greedy-fa"
-        elif policy == "srpt":
-            policy = "srpt-fa"
-        elif policy == "fcfs":
-            policy = "fcfs-fa"
-        elif policy not in (
-            "ssf-edf-fa",
-            "ssf-edf-fa-rework",
-            "greedy-fa",
-            "srpt-fa",
-            "fcfs-fa",
-        ):
-            parser.error(f"--failure-aware has no variant for policy {policy!r}")
+        group_size, groups = options.fault_layout()
+        try:
+            faults = instance_fault_trace(
+                instance,
+                mtbf=args.fault_mtbf,
+                mttr=args.fault_mttr,
+                seed=args.fault_seed,
+                group_size=group_size,
+                groups=groups,
+            )
+        except ModelError as exc:
+            parser.error(str(exc))
+    checkpoint = options.checkpoint_policy(phase_boundaries=args.checkpoint_phases)
 
     scheduler = (
         make_scheduler(policy, seed=args.seed)

@@ -13,18 +13,21 @@ from repro.experiments.cli import build_spec
 from repro.experiments.parallel import (
     MAX_BACKOFF_S,
     _backoff_delay,
-    run_named_experiment_parallel,
+    run_named_experiment_resilient,
 )
 from repro.experiments.runner import run_experiment
+from repro.run_options import RunOptions
 
 _CKPT_KW = dict(
     n_reps=1,
     n_jobs=10,
     seed=6,
-    failure_aware=True,
-    checkpoint_interval=1.0,
-    checkpoint_cost=0.05,
-    retry_budget=4,
+    options=RunOptions(
+        failure_aware=True,
+        checkpoint_interval=1.0,
+        checkpoint_cost=0.05,
+        retry_budget=4,
+    ),
 )
 
 
@@ -38,7 +41,11 @@ def row_key(rows):
 class TestCheckpointRoster:
     def test_checkpoint_variant_appends_labeled_entries(self):
         base = build_spec(
-            "degradation_mtbf", n_reps=1, n_jobs=10, seed=6, failure_aware=True
+            "degradation_mtbf",
+            n_reps=1,
+            n_jobs=10,
+            seed=6,
+            options=RunOptions(failure_aware=True),
         )
         ckpt = build_spec("degradation_mtbf", **_CKPT_KW)
         names = [s.label for s in ckpt.schedulers]
@@ -48,7 +55,11 @@ class TestCheckpointRoster:
     def test_baseline_columns_unperturbed_by_checkpoint_entries(self):
         base_rows = run_experiment(
             build_spec(
-                "degradation_mtbf", n_reps=1, n_jobs=10, seed=6, failure_aware=True
+                "degradation_mtbf",
+                n_reps=1,
+                n_jobs=10,
+                seed=6,
+                options=RunOptions(failure_aware=True),
             )
         )
         ckpt_rows = run_experiment(build_spec("degradation_mtbf", **_CKPT_KW))
@@ -68,15 +79,17 @@ class TestCheckpointRoster:
 class TestSerialParallelIdentity:
     def test_checkpointed_sweep_bit_identical_across_pool(self):
         serial = run_experiment(build_spec("degradation_mtbf", **_CKPT_KW))
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, **_CKPT_KW
-        )
+        ).rows
         assert row_key(serial) == row_key(pooled)
 
     def test_fault_groups_ride_the_overrides(self):
-        kw = dict(n_reps=1, n_jobs=10, seed=6, fault_groups="edge:0-4;link:0-4")
+        kw = dict(
+            n_reps=1, n_jobs=10, seed=6, options=RunOptions(fault_groups="edge:0-4;link:0-4")
+        )
         serial = run_experiment(build_spec("degradation_mtbf", **kw))
-        pooled = run_named_experiment_parallel("degradation_mtbf", n_workers=2, **kw)
+        pooled = run_named_experiment_resilient("degradation_mtbf", n_workers=2, **kw).rows
         assert row_key(serial) == row_key(pooled)
         # The grouped realization must actually differ from independent.
         independent = run_experiment(

@@ -9,12 +9,10 @@ import hashlib
 import json
 
 from repro.experiments.cli import build_spec
-from repro.experiments.parallel import (
-    run_named_experiment_parallel,
-    run_named_experiment_resilient,
-)
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_experiment
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
+from repro.run_options import RunOptions
 
 _KW = dict(n_reps=1, n_jobs=12, seed=5)
 
@@ -37,9 +35,9 @@ class TestDegradationSweep:
     def test_serial_pool_and_resilient_are_sha256_identical(self):
         spec = build_spec("degradation_mtbf", **_KW)
         serial = run_experiment(spec, instrument=DEFAULT_TELEMETRY_HOOKS)
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, instrument=DEFAULT_TELEMETRY_HOOKS, **_KW
-        )
+        ).rows
         resilient = run_named_experiment_resilient(
             "degradation_mtbf",
             n_workers=2,
@@ -53,15 +51,15 @@ class TestDegradationSweep:
         # Adding ssf-edf-fa (and fault correlation) must not perturb the
         # shared instance/fault streams, and the extended sweep stays
         # sha256-identical between the serial and pooled runners.
-        kw = dict(failure_aware=True, correlation=2, **_KW)
+        kw = dict(options=RunOptions(failure_aware=True, correlation=2), **_KW)
         spec = build_spec("degradation_mtbf", **kw)
         assert any(s.label == "ssf-edf-fa" for s in spec.schedulers)
         assert any(s.label == "srpt-fa" for s in spec.schedulers)
         assert any(s.label == "fcfs-fa" for s in spec.schedulers)
         serial = run_experiment(spec, instrument=DEFAULT_TELEMETRY_HOOKS)
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, instrument=DEFAULT_TELEMETRY_HOOKS, **kw
-        )
+        ).rows
         assert digest(serial) == digest(pooled)
         # The baseline columns are byte-for-byte the vanilla sweep's.
         base = run_experiment(
@@ -70,7 +68,9 @@ class TestDegradationSweep:
         fa_subset = [
             r
             for r in run_experiment(
-                build_spec("degradation_mtbf", failure_aware=True, **_KW),
+                build_spec(
+                    "degradation_mtbf", options=RunOptions(failure_aware=True), **_KW
+                ),
                 instrument=DEFAULT_TELEMETRY_HOOKS,
             )
             if r.scheduler not in ("ssf-edf-fa", "srpt-fa", "fcfs-fa")

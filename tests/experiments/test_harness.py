@@ -17,10 +17,7 @@ from repro.experiments import cli
 from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.cli import build_spec
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.experiments.parallel import (
-    run_named_experiment_parallel,
-    run_named_experiment_resilient,
-)
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import WarmState, run_cell, run_experiment
 from repro.obs.harness import HarnessStats, ProgressReporter, _spearman
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
@@ -129,9 +126,9 @@ class TestWarmState:
 class TestPooledIdentity:
     def test_serial_pooled_resumed_byte_identical(self, tmp_path):
         serial = run_experiment(_mixed_spec(), instrument=DEFAULT_TELEMETRY_HOOKS)
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "test_warm_mixed", n_workers=2, instrument=DEFAULT_TELEMETRY_HOOKS
-        )
+        ).rows
         assert full_rows_json(pooled) == full_rows_json(serial)
 
         path = str(tmp_path / "cells.jsonl")
@@ -238,12 +235,12 @@ class TestRetryBackoffIdentity:
 class TestHarnessStats:
     def test_exact_counters_on_a_pooled_sweep(self):
         stats = HarnessStats()
-        rows = run_named_experiment_parallel(
+        rows = run_named_experiment_resilient(
             "test_warm_mixed",
             n_workers=2,
             instrument=DEFAULT_TELEMETRY_HOOKS,
             stats=stats,
-        )
+        ).rows
         n_cells = 4  # 2 points x 2 reps
         assert stats.cells == n_cells
         # Warm-path ceilings CI pins: every cell builds exactly one
@@ -259,7 +256,7 @@ class TestHarnessStats:
 
     def test_inline_sweep_counters(self):
         stats = HarnessStats()
-        run_named_experiment_parallel("test_warm_mixed", n_workers=1, stats=stats)
+        run_named_experiment_resilient("test_warm_mixed", n_workers=1, stats=stats)
         assert stats.n_workers == 1
         assert stats.window == 1
         assert stats.cells == 4

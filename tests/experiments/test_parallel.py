@@ -14,7 +14,7 @@ from repro.experiments import cli
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.experiments.cli import build_spec
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.experiments.parallel import run_named_experiment_parallel
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_cell, run_experiment
 
 
@@ -69,50 +69,50 @@ class TestParallel:
     def test_single_worker_matches_serial(self):
         spec = build_spec("ablation_greedy_guard", n_reps=2, n_jobs=8, seed=4)
         serial = run_experiment(spec)
-        parallel = run_named_experiment_parallel(
+        parallel = run_named_experiment_resilient(
             "ablation_greedy_guard", n_workers=1, n_reps=2, n_jobs=8, seed=4
-        )
+        ).rows
         assert row_key(serial) == row_key(parallel)
 
     def test_two_workers_match_serial(self):
         spec = build_spec("ablation_alpha", n_reps=2, n_jobs=8, seed=5)
         serial = run_experiment(spec)
-        parallel = run_named_experiment_parallel(
+        parallel = run_named_experiment_resilient(
             "ablation_alpha", n_workers=2, n_reps=2, n_jobs=8, seed=5
-        )
+        ).rows
         assert row_key(serial) == row_key(parallel)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ModelError, match="unknown experiment"):
-            run_named_experiment_parallel("nope", n_workers=1)
+            run_named_experiment_resilient("nope", n_workers=1)
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ModelError):
-            run_named_experiment_parallel("ablation_alpha", n_workers=0)
+            run_named_experiment_resilient("ablation_alpha", n_workers=0)
 
     def test_chunked_map_matches_serial(self):
-        # Enough cells that the computed chunksize exceeds 1, so the
-        # batched pool.map path is actually exercised.
+        # Enough cells that the dispatch window refills many times, so
+        # out-of-order completion is actually exercised.
         spec = build_spec("fig2a", n_reps=3, n_jobs=6, seed=11)
         assert len(spec.points) * spec.n_reps >= 16
         serial = run_experiment(spec)
-        parallel = run_named_experiment_parallel(
+        parallel = run_named_experiment_resilient(
             "fig2a", n_workers=2, n_reps=3, n_jobs=6, seed=11
-        )
+        ).rows
         assert row_key(serial) == row_key(parallel)
 
     def test_instrument_names_cross_process_boundary(self):
         serial = run_experiment(
             build_spec("ablation_greedy_guard", n_reps=2, n_jobs=8, seed=4)
         )
-        parallel = run_named_experiment_parallel(
+        parallel = run_named_experiment_resilient(
             "ablation_greedy_guard",
             n_workers=2,
             n_reps=2,
             n_jobs=8,
             seed=4,
             instrument=("watermark", "profile"),
-        )
+        ).rows
         # Observational hooks never perturb results.
         assert row_key(serial) == row_key(parallel)
 
@@ -130,23 +130,23 @@ class TestTelemetryDeterminism:
     def test_serial_and_parallel_telemetry_byte_identical(self):
         spec = build_spec("ablation_alpha", n_reps=2, n_jobs=8, seed=6)
         serial = run_experiment(spec, instrument=DEFAULT_TELEMETRY_HOOKS)
-        parallel = run_named_experiment_parallel(
+        parallel = run_named_experiment_resilient(
             "ablation_alpha",
             n_workers=2,
             n_reps=2,
             n_jobs=8,
             seed=6,
             instrument=DEFAULT_TELEMETRY_HOOKS,
-        )
+        ).rows
         assert row_key(serial) == row_key(parallel)
         serial_json = self.telemetry_json(serial)
         assert serial_json == self.telemetry_json(parallel)
         assert all(blob != "null" for blob in serial_json)
 
     def test_uninstrumented_rows_carry_no_telemetry(self):
-        rows = run_named_experiment_parallel(
+        rows = run_named_experiment_resilient(
             "ablation_alpha", n_workers=2, n_reps=1, n_jobs=8, seed=6
-        )
+        ).rows
         assert all(r.telemetry is None for r in rows)
 
 
@@ -155,7 +155,7 @@ class TestErrorPropagation:
 
     def test_serial_worker_path(self):
         with pytest.raises(ModelError, match=r"'test_exploding' cell \(point=0, rep=0\)"):
-            run_named_experiment_parallel("test_exploding", n_workers=1, n_reps=2)
+            run_named_experiment_resilient("test_exploding", n_workers=1, n_reps=2)
 
     def test_across_process_pool(self):
         with pytest.raises(
@@ -163,4 +163,4 @@ class TestErrorPropagation:
             match=r"cell \(point=0, rep=\d\) failed: "
             r"RuntimeError: synthetic instance failure",
         ):
-            run_named_experiment_parallel("test_exploding", n_workers=2, n_reps=2)
+            run_named_experiment_resilient("test_exploding", n_workers=2, n_reps=2)

@@ -17,10 +17,8 @@ from repro.core.errors import CellTimeoutError, ModelError
 from repro.experiments import cli
 from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.experiments.parallel import (
-    run_named_experiment_parallel,
-    run_named_experiment_resilient,
-)
+from repro.experiments.cli import build_spec
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_experiment
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
@@ -103,7 +101,7 @@ def row_key(rows):
 class TestResilientMatchesSerial:
     def test_rows_identical_to_fast_paths(self):
         outcome = run_named_experiment_resilient("test_res_ok", n_workers=1)
-        fast = run_named_experiment_parallel("test_res_ok", n_workers=1)
+        fast = run_experiment(build_spec("test_res_ok", n_reps=None, n_jobs=None, seed=None))
         assert row_key(outcome.rows) == row_key(fast)
         assert outcome.quarantined == []
         assert outcome.n_executed == 3
@@ -137,6 +135,15 @@ class TestTimeout:
         [q] = outcome.quarantined
         assert (q.point, q.rep, q.attempts) == (0, 0, 1)
         assert "CellTimeoutError" in q.error
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout_s):
+        # Zero would silently disable the guard, and a negative value
+        # makes setitimer fail inside every cell.
+        with pytest.raises(ModelError, match="timeout_s must be positive"):
+            run_named_experiment_resilient(
+                "test_res_ok", n_workers=1, timeout_s=timeout_s, on_error="skip"
+            )
 
 
 class TestRetryPolicy:

@@ -5,7 +5,7 @@ import json
 from repro.experiments.checkpoint import row_from_dict, row_to_dict
 from repro.experiments.cli import _write_traces, main
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.experiments.parallel import run_named_experiment_parallel
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_cell, run_experiment
 from repro.obs.tracing import read_trace_jsonl, write_trace_jsonl
 from tests.experiments.test_runner import tiny_instance
@@ -61,13 +61,13 @@ class TestSerialParallelIdentity:
 
         spec = build_spec("ablation_alpha", n_reps=1, n_jobs=25, seed=None)
         serial_rows = run_experiment(spec, instrument=("tracing",))
-        parallel_rows = run_named_experiment_parallel(
+        parallel_rows = run_named_experiment_resilient(
             "ablation_alpha",
             n_workers=2,
             n_reps=1,
             n_jobs=25,
             instrument=("tracing",),
-        )
+        ).rows
         assert len(serial_rows) == len(parallel_rows)
         for s_row, p_row in zip(serial_rows, parallel_rows):
             a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
