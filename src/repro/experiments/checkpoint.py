@@ -2,14 +2,11 @@
 
 A sweep that dies halfway — machine reboot, OOM kill, a SIGKILL'd
 driver — should not throw away the cells it finished.  The harness
-appends one JSONL record per completed (point, replication) cell,
-committed to the OS in *groups* (``group_size`` records buffered per
-write+flush; 1 restores the legacy per-cell durability), so the file
-survives a kill of the process at any instant modulo the uncommitted
-tail of the current group and a torn final line, both of which are
-detected and dropped on load.  ``--resume`` then re-runs only the
-missing cells;
-because every cell's RNG stream is derived from the root seed alone
+appends one JSONL record per completed (point, replication) cell and
+flushes it at once, so the file survives a kill of the process at any
+instant modulo a torn final line, which is detected and dropped on
+load.  ``--resume`` then re-runs only the missing cells; because every
+cell's RNG stream is derived from the root seed alone
 (:func:`repro.util.rng.spawn_generator`), the re-run cells are
 byte-identical to what an uninterrupted run would have produced, and so
 is the merged result.
@@ -70,12 +67,7 @@ class CheckpointStore:
     killed inside): the tail is dropped on load and truncated away
     before appending resumes.
 
-    ``group_size`` sets the group-commit granularity: appended records
-    are buffered in memory and committed (one write + flush, optionally
-    fsync'd) every ``group_size`` records and on :meth:`close`.  A kill
-    can therefore lose at most the last ``group_size - 1`` cells — a
-    deliberate durability/throughput trade the caller picks; the
-    default 1 keeps the historical per-cell guarantee.  ``fsync=True``
+    Every :meth:`append` is committed before it returns.  ``fsync=True``
     additionally forces each commit to stable storage (survives power
     loss, not just process death).
     """
@@ -86,19 +78,14 @@ class CheckpointStore:
         *,
         experiment: str,
         overrides: Mapping,
-        group_size: int = 1,
         fsync: bool = False,
     ) -> None:
-        if group_size < 1:
-            raise ModelError(f"group_size must be positive, got {group_size}")
         self.path = path
         self.experiment = experiment
         self.overrides = dict(overrides)
-        self.group_size = int(group_size)
         self.fsync = bool(fsync)
         self._fh = None
         self._valid_bytes: int | None = None
-        self._buffer: list[str] = []
 
     # -- loading (resume) ------------------------------------------------------
 
@@ -108,7 +95,8 @@ class CheckpointStore:
         Returns ``{(point, rep): rows}``.  Missing or empty files are an
         empty dict (a resume of a sweep that never started is just a
         start).  A header that names a different experiment or different
-        overrides is a :class:`ModelError`; a torn final line is dropped.
+        overrides is a :class:`ModelError`, and so is a malformed record
+        (the error names ``path:line``); a torn final line is dropped.
         """
         try:
             with open(self.path, "rb") as fh:
@@ -128,22 +116,29 @@ class CheckpointStore:
         for lineno, line in enumerate(keep.decode("utf-8").splitlines(), start=1):
             if not line.strip():
                 continue
+            where = f"corrupt checkpoint {self.path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                raise ModelError(f"{where}: {exc}") from exc
+            if not isinstance(record, dict):
                 raise ModelError(
-                    f"corrupt checkpoint {self.path!r} at line {lineno}: {exc}"
-                ) from exc
+                    f"{where}: expected a JSON object, got {type(record).__name__}"
+                )
             if lineno == 1:
                 self._check_header(record)
                 continue
             if record.get("kind") != "cell":
                 raise ModelError(
-                    f"checkpoint {self.path!r} line {lineno}: expected a cell "
-                    f"record, got kind={record.get('kind')!r}"
+                    f"{where}: expected a cell record, got kind={record.get('kind')!r}"
                 )
-            rows = [row_from_dict(d) for d in record["rows"]]
-            completed[(int(record["point"]), int(record["rep"]))] = rows
+            try:
+                cell = (int(record["point"]), int(record["rep"]))
+                completed[cell] = [row_from_dict(d) for d in record["rows"]]
+            except (KeyError, TypeError, ValueError, ModelError) as exc:
+                raise ModelError(
+                    f"{where}: malformed cell record: {type(exc).__name__}: {exc}"
+                ) from exc
         return completed
 
     def _check_header(self, record: Mapping) -> None:
@@ -191,12 +186,8 @@ class CheckpointStore:
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, point: int, rep: int, rows: list[ResultRow]) -> None:
-        """Record one completed cell.
-
-        The record is committed (written + flushed) as soon as the
-        in-memory group reaches ``group_size`` records; with the
-        default group size of 1 that is immediately, so a kill at any
-        later instant cannot lose the cell."""
+        """Record one completed cell and commit it, so a kill at any
+        later instant cannot lose it."""
         if self._fh is None:
             raise ModelError("CheckpointStore.append before start()")
         record = {
@@ -205,26 +196,20 @@ class CheckpointStore:
             "rep": rep,
             "rows": [row_to_dict(r) for r in rows],
         }
-        self._buffer.append(_dumps(record) + "\n")
-        if len(self._buffer) >= self.group_size:
-            self.commit()
+        self._fh.write(_dumps(record) + "\n")
+        self.commit()
 
     def commit(self) -> None:
-        """Force the buffered records to the OS (and to disk if
-        ``fsync``); a no-op when the buffer is empty."""
-        if not self._buffer:
-            return
+        """Force the written records to the OS (and to disk if
+        ``fsync``); a no-op when the store is not open."""
         if self._fh is None:
-            raise ModelError("CheckpointStore.commit before start()")
-        self._fh.write("".join(self._buffer))
-        self._buffer.clear()
+            return
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        """Commit any buffered records and close the file (idempotent)."""
+        """Close the file (idempotent)."""
         if self._fh is not None:
-            self.commit()
             self._fh.close()
             self._fh = None

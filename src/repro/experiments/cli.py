@@ -208,22 +208,13 @@ def main(argv: list[str] | None = None) -> int:
         type=str,
         default=None,
         metavar="PATH",
-        help="append each completed cell to this JSONL file (group-committed, "
-        "see --checkpoint-group) so a killed sweep can pick up with --resume",
+        help="append each completed cell to this JSONL file as it completes "
+        "so a killed sweep can pick up with --resume",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
         help="skip cells already recorded in --checkpoint (requires it)",
-    )
-    parser.add_argument(
-        "--checkpoint-group",
-        type=int,
-        default=8,
-        metavar="N",
-        help="cells buffered per checkpoint group commit (default 8; a kill "
-        "can lose at most the last N-1 uncommitted cells — use 1 for the "
-        "per-cell durability of older builds)",
     )
     parser.add_argument(
         "--progress",
@@ -260,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if options != RunOptions() and args.experiment not in _TAKES_FAULT_OPTS:
         parser.error(_FAULT_OPTS_ONLY)
-    if args.checkpoint_group < 1:
-        parser.error("--checkpoint-group must be positive")
     if args.workers < 1:
         parser.error("--workers must be positive")
     if args.timeout is not None and not args.timeout > 0:
@@ -298,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
                 retry_backoff=args.retry_backoff,
                 checkpoint_path=args.checkpoint,
                 resume=args.resume,
-                checkpoint_group=args.checkpoint_group,
                 stats=harness_stats,
                 progress=args.progress,
             )

@@ -45,22 +45,11 @@ class SchedulerSpec:
     None (the default) keeps the historical from-scratch rule.  The
     policy rides the spec (not the experiment) so a roster can compare
     checkpointed and uncheckpointed variants on the same cells.
-
-    ``reusable`` declares that one scheduler object built by ``factory``
-    may serve many runs: the factory ignores its generator argument
-    (building the object consumes nothing from the cell's RNG stream)
-    and every piece of per-run state is wiped by the engine's
-    ``scheduler.start(view)`` reset contract.  The warm worker path of
-    the parallel harness builds such schedulers once per worker instead
-    of once per run; set False for stochastic policies seeded at
-    construction (``named("random")`` does), which must be rebuilt from
-    the cell's generator every run.
     """
 
     label: str
     factory: SchedulerFactory
     checkpoint: CheckpointPolicy | None = None
-    reusable: bool = True
 
     @classmethod
     def named(
@@ -79,7 +68,6 @@ class SchedulerSpec:
                 label,
                 lambda rng: make_scheduler(name, seed=rng, **kwargs),
                 checkpoint,
-                reusable=False,
             )
         return cls(label, lambda rng: make_scheduler(name, **kwargs), checkpoint)
 

@@ -9,22 +9,14 @@ are bit-identical to the serial runner regardless of scheduling order
 — parallelism changes wall-clock only.
 
 This is how the paper-scale sweeps (1000 reps of n = 4000) become
-tractable: cells are embarrassingly parallel.  Three throughput layers
-sit on top of that embarrassment (see ``docs/HARNESS.md``):
-
-* **Cost-aware dynamic dispatch** — cells are submitted individually in
-  descending predicted-cost order (longest cell first, the classic LPT
-  rule) over a bounded in-flight window sized to the machine's usable
-  cores (:mod:`repro.experiments.dispatch`), instead of the historical
-  static-chunked ``pool.map`` whose tail chunks straggled.
-* **Warm worker state** — each worker memoizes the rebuilt spec and
-  reuses scheduler objects (the engine's ``start(view)`` reset
-  contract) and hook instances (``EngineHooks.reset``) across the
-  cells it executes (:class:`~repro.experiments.runner.WarmState`).
-* **Batched result I/O** — results cross the process boundary in the
-  compact tuple/interned-string wire format of
-  :mod:`repro.experiments.wire`, and completed cells are checkpointed
-  with group commits (:class:`~repro.experiments.checkpoint.CheckpointStore`).
+tractable: cells are embarrassingly parallel (see ``docs/HARNESS.md``).
+Cells are submitted individually in descending predicted-cost order
+(longest cell first, the classic LPT rule) over a bounded in-flight
+window sized to the machine's usable cores
+(:mod:`repro.experiments.dispatch`), instead of the historical
+static-chunked ``pool.map`` whose tail chunks straggled.  Each cell's
+rows cross the process boundary pickled and deflated
+(:mod:`repro.experiments.wire`).
 
 Telemetry crosses the process boundary the same way rows do:
 instrumented hooks are instantiated inside the worker (from the shipped
@@ -62,9 +54,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.errors import CellTimeoutError, ModelError
-from repro.experiments.checkpoint import CheckpointStore, _dumps
+from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.dispatch import dispatch_order, effective_window, predict_cell_cost
-from repro.experiments.runner import ResultRow, WarmState, run_cell
+from repro.experiments.runner import ResultRow, run_cell
 from repro.experiments.wire import pack_rows, unpack_rows
 from repro.obs.harness import HarnessStats, ProgressReporter
 from repro.run_options import RunOptions
@@ -75,10 +67,6 @@ MAX_POOL_REBUILDS = 3
 
 #: Hard cap on one retry-backoff pause, seconds.
 MAX_BACKOFF_S = 30.0
-
-#: Default group size of checkpoint group commits (cells buffered per
-#: write+flush); 1 restores the legacy per-cell durability.
-DEFAULT_CHECKPOINT_GROUP = 8
 
 
 def _backoff_delay(base: float, attempt: int, cap: float = MAX_BACKOFF_S) -> float:
@@ -91,24 +79,6 @@ def _backoff_delay(base: float, attempt: int, cap: float = MAX_BACKOFF_S) -> flo
     if base <= 0.0 or attempt <= 0:
         return 0.0
     return min(cap, base * (2.0 ** (attempt - 1)))
-
-
-# -- warm per-process state ----------------------------------------------------
-#
-# One entry per (experiment, overrides) this process has executed cells
-# for: the rebuilt spec plus the WarmState holding reusable scheduler
-# and hook objects.  Lives at module level so a forked pool worker
-# accumulates it across the cells it executes; the driver process uses
-# the same cache on the inline (n_workers == 1) path.
-
-_SPEC_CACHE: dict[tuple[str, str], tuple[object, WarmState]] = {}
-
-#: Spec constructions performed by *this* process (cache misses).
-_SPEC_BUILDS = 0
-
-
-def _cache_key(name: str, overrides: dict) -> tuple[str, str]:
-    return (name, _dumps(overrides))
 
 
 def _spec_for(name: str, overrides: dict):
@@ -130,22 +100,6 @@ def _cell_error(name: str, point_index: int, rep: int, exc: BaseException, where
         f"experiment {name!r} cell (point={point_index}, rep={rep}) "
         f"failed: {type(exc).__name__}: {exc}{where}"
     )
-
-
-def _cell_context(name: str, overrides: dict, point_index: int, rep: int):
-    """The (spec, warm state) for a cell, memoized per process."""
-    global _SPEC_BUILDS
-    key = _cache_key(name, overrides)
-    entry = _SPEC_CACHE.get(key)
-    if entry is None:
-        try:
-            spec = _spec_for(name, overrides)
-        except Exception as exc:
-            raise _cell_error(name, point_index, rep, exc) from exc
-        entry = (spec, WarmState())
-        _SPEC_CACHE[key] = entry
-        _SPEC_BUILDS += 1
-    return entry
 
 
 @contextmanager
@@ -179,26 +133,23 @@ def _cell_deadline(timeout_s: float | None):
 def _run_named_cell(args: tuple) -> tuple:
     """Rebuild the spec by name and run one cell under its deadline.
 
-    Returns ``(rows, wall_s, spec_builds_delta, instance_builds_delta)``;
-    the deltas let the driver sum exact warm-state counters across
-    workers without knowing which worker ran what.
-
-    Any exception is re-raised as a :class:`ModelError` naming the cell
-    — and, once the spec is known, its x-value and root seed — with the
-    original exception chained, so the parent sees *which* (experiment,
-    point, rep) failed and why instead of a bare traceback pickled out
-    of an anonymous worker.  :class:`CellTimeoutError` passes through
-    untouched so the driver can classify timeouts.
+    Returns ``(rows, wall_s)``.  Any exception is re-raised as a
+    :class:`ModelError` naming the cell — and, once the spec is known,
+    its x-value and root seed — with the original exception chained, so
+    the parent sees *which* (experiment, point, rep) failed and why
+    instead of a bare traceback pickled out of an anonymous worker.
+    :class:`CellTimeoutError` passes through untouched so the driver
+    can classify timeouts.
     """
     name, overrides, point_index, rep, instrument, timeout_s = args
-    builds_before = _SPEC_BUILDS
-    entry = _SPEC_CACHE.get(_cache_key(name, overrides))
-    instances_before = entry[1].instance_builds if entry is not None else 0
     t0 = time.perf_counter()
     with _cell_deadline(timeout_s):
-        spec, warm = _cell_context(name, overrides, point_index, rep)
         try:
-            rows = run_cell(spec, point_index, rep, instrument=instrument, warm=warm)
+            spec = _spec_for(name, overrides)
+        except Exception as exc:
+            raise _cell_error(name, point_index, rep, exc) from exc
+        try:
+            rows = run_cell(spec, point_index, rep, instrument=instrument)
         except CellTimeoutError:
             raise
         except Exception as exc:
@@ -209,22 +160,14 @@ def _run_named_cell(args: tuple) -> tuple:
             )
             where = f" [x={x}, root_seed={spec.seed}]"
             raise _cell_error(name, point_index, rep, exc, where) from exc
-    return (
-        rows,
-        time.perf_counter() - t0,
-        _SPEC_BUILDS - builds_before,
-        warm.instance_builds - instances_before,
-    )
+    return rows, time.perf_counter() - t0
 
 
 def _run_cell_payload(args: tuple) -> tuple:
-    """Pool worker entry: :func:`_run_named_cell` with its rows packed.
-
-    The rows ride the deflated tuple format of
-    :mod:`repro.experiments.wire` (:func:`pack_rows`).
-    """
-    rows, *counters = _run_named_cell(args)
-    return (pack_rows(rows), *counters)
+    """Pool worker entry: :func:`_run_named_cell` with its rows packed
+    (:func:`~repro.experiments.wire.pack_rows`)."""
+    rows, wall_s = _run_named_cell(args)
+    return pack_rows(rows), wall_s
 
 
 def _validated_workers(n_workers: int | None) -> int:
@@ -285,7 +228,6 @@ def run_named_experiment_resilient(
     retry_backoff: float = 0.0,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    checkpoint_group: int = DEFAULT_CHECKPOINT_GROUP,
     stats: HarnessStats | None = None,
     progress: bool = False,
 ) -> SweepOutcome:
@@ -311,14 +253,12 @@ def run_named_experiment_resilient(
     retries immediately, the historical behavior.  On the pooled path a
     backing-off cell defers only *itself* (its ready time moves into
     the future); other cells keep the workers busy meanwhile.
-    ``checkpoint_path`` appends every completed cell to a JSONL file
-    with group commits of ``checkpoint_group`` cells per write+flush
-    (:data:`DEFAULT_CHECKPOINT_GROUP`; 1 restores per-cell flushing);
-    with ``resume=True`` cells already in that file are not re-run.  A
-    worker process dying (OOM killer, SIGKILL) does not lose the sweep:
-    the pool is rebuilt and unfinished cells are resubmitted (under
-    ``"fail"`` it aborts, but committed cells are already on disk for
-    ``--resume``).
+    ``checkpoint_path`` appends every completed cell to a JSONL file,
+    flushed as it completes; with ``resume=True`` cells already in that
+    file are not re-run.  A worker process dying (OOM killer, SIGKILL)
+    does not lose the sweep: the pool is rebuilt and unfinished cells
+    are resubmitted (under ``"fail"`` it aborts, but committed cells
+    are already on disk for ``--resume``).
 
     Rows come back in serial order (points outer, replications inner,
     schedulers innermost) and are byte-identical to the serial
@@ -340,8 +280,6 @@ def run_named_experiment_resilient(
         raise ModelError(f"timeout_s must be positive, got {timeout_s}")
     if resume and checkpoint_path is None:
         raise ModelError("resume=True requires a checkpoint_path")
-    if checkpoint_group < 1:
-        raise ModelError(f"checkpoint_group must be positive, got {checkpoint_group}")
 
     overrides = options.to_overrides(n_reps=n_reps, n_jobs=n_jobs, seed=seed)
     spec = _spec_for(name, overrides)
@@ -358,7 +296,6 @@ def run_named_experiment_resilient(
             checkpoint_path,
             experiment=name,
             overrides=overrides,
-            group_size=checkpoint_group,
         )
         if resume:
             completed = store.load_completed()
@@ -367,15 +304,15 @@ def run_named_experiment_resilient(
     outcome = SweepOutcome(n_from_checkpoint=len(completed))
     attempts: dict[tuple[int, int], int] = {}
     quarantined: dict[tuple[int, int], str] = {}
-    reporter = ProgressReporter(name, len(all_cells), enabled=progress)
-    for _ in range(len(completed)):
-        reporter.cell_done()
+    reporter = ProgressReporter(
+        name, len(all_cells), restored=len(completed), enabled=progress
+    )
     t_start = time.monotonic()
 
     def cell_args(cell: tuple[int, int]) -> tuple:
         return (name, overrides, cell[0], cell[1], instrument, timeout_s)
 
-    def record(cell, rows, wall_s, spec_builds, instance_builds, payload_bytes=0):
+    def record(cell, rows, wall_s, payload_bytes=0):
         """Keep a completed cell's rows and account for it."""
         completed[cell] = rows
         outcome.n_executed += 1
@@ -386,8 +323,6 @@ def run_named_experiment_resilient(
                 cost=predict_cell_cost(spec, cell[0]),
                 wall_s=wall_s,
                 payload_bytes=payload_bytes,
-                spec_builds=spec_builds,
-                instance_builds=instance_builds,
             )
         reporter.cell_done()
 
@@ -543,8 +478,8 @@ def _run_pooled(
                         elif delay is not None:
                             ready.append(cell)
                         continue
-                    blob, *counters = payload
-                    record(cell, unpack_rows(blob), *counters, payload_bytes=len(blob))
+                    blob, wall_s = payload
+                    record(cell, unpack_rows(blob), wall_s, payload_bytes=len(blob))
                 if broken is not None:
                     raise broken
             except BrokenProcessPool as exc:

@@ -89,62 +89,12 @@ class AggregateRow:
     telemetry: dict | None = None
 
 
-class WarmState:
-    """Reusable per-process execution state for :func:`run_cell`.
-
-    One ``WarmState`` serves all cells of *one* spec (the parallel
-    harness scopes it to its per-worker spec cache entry).  It keeps:
-
-    * one scheduler object per ``reusable`` roster entry — safe because
-      a reusable spec's factory ignores its generator argument (so
-      skipping later factory calls perturbs no RNG stream) and the
-      engine's ``scheduler.start(view)`` contract wipes all per-run
-      state (see ``tests/schedulers/test_ssf_edf.py``); non-reusable
-      entries (e.g. ``random``) are rebuilt from the cell's generator
-      every run, exactly as the cold path does;
-    * one hook list per instrument tuple, ``reset()`` before every run
-      (:meth:`repro.sim.hooks.EngineHooks.reset`), so a warm hook
-      observes byte-identically to a fresh one.
-
-    ``instance_builds`` counts instance generations (one per cell by
-    construction — all schedulers share the cell's instance); the
-    harness exports it as ``harness.instance.builds`` and CI pins it to
-    exactly n_points × n_reps.
-    """
-
-    def __init__(self) -> None:
-        self._schedulers: dict[int, object] = {}
-        self._hooks: dict[tuple[str, ...], list] = {}
-        self.instance_builds = 0
-
-    def scheduler_for(self, index: int, sched_spec, rng):
-        """The roster entry's scheduler: cached when reusable."""
-        if not sched_spec.reusable:
-            return sched_spec.factory(rng)
-        scheduler = self._schedulers.get(index)
-        if scheduler is None:
-            scheduler = self._schedulers[index] = sched_spec.factory(rng)
-        return scheduler
-
-    def hooks_for(self, instrument: Sequence[str] | None) -> list:
-        """The instrument tuple's hook list, reset to fresh state."""
-        key = tuple(instrument) if instrument else ()
-        hooks = self._hooks.get(key)
-        if hooks is None:
-            hooks = self._hooks[key] = make_hooks(instrument)
-        else:
-            for hook in hooks:
-                hook.reset()
-        return hooks
-
-
 def run_cell(
     spec: ExperimentSpec,
     point_index: int,
     rep: int,
     *,
     instrument: Sequence[str] | None = None,
-    warm: WarmState | None = None,
 ) -> list[ResultRow]:
     """Run one (sweep point, replication) cell: all schedulers on the
     cell's instance.  The cell's RNG stream is re-derived from the
@@ -152,17 +102,12 @@ def run_cell(
     cells can be executed in any order (or in different processes) and
     still reproduce the serial results.  ``instrument`` names
     registered engine hooks (see :func:`repro.sim.hooks.register_hook`)
-    instantiated fresh for every scheduler run; passing a
-    :class:`WarmState` instead reuses that state's scheduler/hook
-    objects under their reset contracts — rows are byte-identical
-    either way."""
+    instantiated fresh for every scheduler run."""
     rng = spawn_generator(spec.seed, point_index * spec.n_reps + rep)
     point = spec.points[point_index]
 
     rows: list[ResultRow] = []
     instance = point.make_instance(rng)
-    if warm is not None:
-        warm.instance_builds += 1
     availability = (
         point.make_availability(instance, rng)
         if point.make_availability is not None
@@ -175,13 +120,9 @@ def run_cell(
         if point.make_faults is not None
         else None
     )
-    for sched_index, sched_spec in enumerate(spec.schedulers):
-        if warm is not None:
-            scheduler = warm.scheduler_for(sched_index, sched_spec, rng)
-            hooks = warm.hooks_for(instrument)
-        else:
-            scheduler = sched_spec.factory(rng)
-            hooks = make_hooks(instrument)
+    for sched_spec in spec.schedulers:
+        scheduler = sched_spec.factory(rng)
+        hooks = make_hooks(instrument)
         t0 = time.perf_counter()
         try:
             result = simulate(

@@ -1,29 +1,15 @@
-"""Compact wire format for rows crossing the worker process boundary.
+"""Wire format for rows crossing the worker process boundary.
 
 An instrumented cell's :class:`~repro.experiments.runner.ResultRow` list
 pickles to ~22 KB, almost all of it telemetry — histogram edge/count
-lists and float-valued metric maps repeated per roster entry.  Two
-layers cut what crosses the pipe:
+lists and float-valued metric maps repeated per roster entry.  Workers
+return :func:`pack_rows`: the rows pickled and deflated (zlib level 3,
+~7x smaller on instrumented cells, ~0.5 ms per cell — noise next to a
+simulation).
 
-* :func:`encode_rows` / :func:`decode_rows` — a structural tuple
-  encoding with a per-cell interned string table (metric names,
-  scheduler labels, type tags referenced by index).  This does *not*
-  shrink the pickle much by itself — pickle already memoizes shared
-  string objects — but it strips dataclass/dict framing into flat
-  homogeneous tuples, which is exactly the shape deflate likes;
-* :func:`pack_rows` / :func:`unpack_rows` — the tuple encoding,
-  pickled and deflated (zlib level 3: ~7x smaller on instrumented
-  cells, ~0.3 ms per cell — noise next to a simulation).  This is what
-  workers actually return.
-
-Neither layer touches any on-disk format: the checkpoint JSONL and
-telemetry sinks still see plain :class:`ResultRow` objects, and
-``unpack_rows(pack_rows(rows)) == rows`` holds exactly (Python floats
-round-trip untouched; dict equality is order-insensitive).
-
-Only the IPC payload uses this encoding; it never hits disk, so there
-is no schema/versioning concern beyond the paired encoder/decoder of
-one build (workers are forked from the driver).
+Only the IPC payload uses this format; it never hits disk (the
+checkpoint JSONL and telemetry sinks see plain :class:`ResultRow`
+objects), and ``unpack_rows(pack_rows(rows)) == rows`` holds exactly.
 """
 
 from __future__ import annotations
@@ -31,147 +17,21 @@ from __future__ import annotations
 import pickle
 import zlib
 
-from repro.core.errors import ModelError
 from repro.experiments.runner import ResultRow
 
 #: Deflate level of :func:`pack_rows` — 3 is within a few percent of
 #: level 9 on telemetry payloads at a fraction of the CPU.
 _PACK_LEVEL = 3
 
-#: Bumped when the tuple layout changes; decode rejects mismatches so a
-#: driver never silently misreads a stale worker's payload.
-WIRE_VERSION = 1
-
-#: Scalar ResultRow fields in tuple position order (telemetry and trace
-#: are appended separately with their own encodings).
-_SCALAR_FIELDS = (
-    "x",
-    "rep",
-    "max_stretch",
-    "avg_stretch",
-    "makespan",
-    "wall_time",
-    "n_events",
-    "n_reexecutions",
-    "n_abandoned",
-)
-
-
-class _Interner:
-    """Build-side string table: string → dense index."""
-
-    def __init__(self) -> None:
-        self.table: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def ref(self, s: str) -> int:
-        idx = self._index.get(s)
-        if idx is None:
-            idx = self._index[s] = len(self.table)
-            self.table.append(s)
-        return idx
-
-
-def _encode_metric(payload: dict, intern: _Interner) -> tuple:
-    """One metric's ``to_dict`` as an (interned-key, value) pair tuple.
-
-    Values are scalars or float lists; only the keys and the type tag
-    repeat across metrics, so only those are interned.
-    """
-    return tuple(
-        (intern.ref(key), intern.ref(value) if key == "type" else value)
-        for key, value in payload.items()
-    )
-
-
-def _decode_metric(encoded: tuple, table: list[str]) -> dict:
-    return {
-        table[key_idx]: (table[value] if table[key_idx] == "type" else value)
-        for key_idx, value in encoded
-    }
-
-
-def _encode_telemetry(telemetry: dict | None, intern: _Interner):
-    if telemetry is None:
-        return None
-    metrics = telemetry["metrics"]
-    return (
-        telemetry["version"],
-        telemetry["n_runs"],
-        tuple(
-            (intern.ref(name), _encode_metric(payload, intern))
-            for name, payload in metrics.items()
-        ),
-    )
-
-
-def _decode_telemetry(encoded, table: list[str]) -> dict | None:
-    if encoded is None:
-        return None
-    version, n_runs, metrics = encoded
-    return {
-        "version": version,
-        "n_runs": n_runs,
-        "metrics": {
-            table[name_idx]: _decode_metric(payload, table)
-            for name_idx, payload in metrics
-        },
-    }
-
-
-def encode_rows(rows: list[ResultRow]) -> tuple:
-    """A cell's rows as ``(WIRE_VERSION, string_table, row_tuples)``."""
-    intern = _Interner()
-    encoded = []
-    for row in rows:
-        encoded.append(
-            (
-                intern.ref(row.experiment),
-                intern.ref(row.scheduler),
-            )
-            + tuple(getattr(row, f) for f in _SCALAR_FIELDS)
-            + (
-                _encode_telemetry(row.telemetry, intern),
-                row.trace,
-            )
-        )
-    return (WIRE_VERSION, tuple(intern.table), tuple(encoded))
-
-
-def decode_rows(payload: tuple) -> list[ResultRow]:
-    """Inverse of :func:`encode_rows`; exact row equality."""
-    version, table, encoded = payload
-    if version != WIRE_VERSION:
-        raise ModelError(
-            f"unsupported wire version {version!r} (this build reads "
-            f"{WIRE_VERSION}); driver and workers are out of sync"
-        )
-    table = list(table)
-    rows = []
-    for item in encoded:
-        experiment_idx, scheduler_idx = item[0], item[1]
-        scalars = dict(zip(_SCALAR_FIELDS, item[2 : 2 + len(_SCALAR_FIELDS)]))
-        telemetry_enc, trace = item[2 + len(_SCALAR_FIELDS) :]
-        rows.append(
-            ResultRow(
-                experiment=table[experiment_idx],
-                scheduler=table[scheduler_idx],
-                telemetry=_decode_telemetry(telemetry_enc, table),
-                trace=trace,
-                **scalars,
-            )
-        )
-    return rows
-
 
 def pack_rows(rows: list[ResultRow]) -> bytes:
     """The deflated wire blob a worker returns for one cell's rows."""
     return zlib.compress(
-        pickle.dumps(encode_rows(rows), protocol=pickle.HIGHEST_PROTOCOL),
+        pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL),
         _PACK_LEVEL,
     )
 
 
 def unpack_rows(blob: bytes) -> list[ResultRow]:
     """Inverse of :func:`pack_rows`; exact row equality."""
-    return decode_rows(pickle.loads(zlib.decompress(blob)))
+    return pickle.loads(zlib.decompress(blob))

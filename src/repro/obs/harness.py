@@ -2,7 +2,7 @@
 
 Every other ``repro.obs`` surface observes *simulations*; this one
 observes the machinery that runs them — the cost-aware dispatcher,
-the warm worker pool, and the batched result I/O of
+the worker pool, and the result I/O of
 :mod:`repro.experiments.parallel`.  A :class:`HarnessStats` is filled
 by the driver process as cells complete and snapshots into the same
 :class:`~repro.obs.telemetry.RunTelemetry` shape as simulation
@@ -20,12 +20,11 @@ Metric namespace (all driver-side, no effect on rows):
 ``harness.dispatch.rank_corr``  Spearman corr of predicted-cost rank vs
                                 observed cell-wall rank (gauge; how well the
                                 cost model ordered the work)
-``harness.pickle.bytes``        result payload bytes through the pool (counter)
+``harness.pickle.bytes``        deflated pickled rows through the pool (counter)
 ``harness.pickle.bytes_per_cell``  the same per completed cell (gauge)
 ``harness.pool.rebuilds``       pools rebuilt after worker deaths (counter)
-``harness.spec.builds``         spec constructions across all workers (counter)
-``harness.instance.builds``     instance generations across all workers
-                                (counter; == cells when the warm path holds)
+``harness.spec.builds``         spec constructions (counter; == executed cells)
+``harness.instance.builds``     instance generations (counter; == executed cells)
 ``harness.workers``             pool size actually spawned (gauge)
 ==============================  ==============================================
 """
@@ -78,8 +77,6 @@ class HarnessStats:
     n_workers: int = 1
     window: int = 1
     pool_rebuilds: int = 0
-    spec_builds: int = 0
-    instance_builds: int = 0
     pickle_bytes: int = 0
     elapsed_s: float = 0.0
     #: Per completed cell: (predicted cost, worker-measured wall seconds).
@@ -90,14 +87,21 @@ class HarnessStats:
     def cells(self) -> int:
         return len(self.cell_walls)
 
-    def record_cell(self, *, cost: float, wall_s: float, payload_bytes: int = 0,
-                    spec_builds: int = 0, instance_builds: int = 0) -> None:
+    @property
+    def spec_builds(self) -> int:
+        """Spec constructions: every executed cell rebuilds its spec."""
+        return self.cells
+
+    @property
+    def instance_builds(self) -> int:
+        """Instance generations: every executed cell draws one instance."""
+        return self.cells
+
+    def record_cell(self, *, cost: float, wall_s: float, payload_bytes: int = 0) -> None:
         """Fold one completed cell's driver-visible measurements in."""
         self.cell_costs.append(float(cost))
         self.cell_walls.append(float(wall_s))
         self.pickle_bytes += int(payload_bytes)
-        self.spec_builds += int(spec_builds)
-        self.instance_builds += int(instance_builds)
 
     def straggler_ratio(self) -> float | None:
         """Max over median cell wall (None before any cell)."""
@@ -140,11 +144,14 @@ class ProgressReporter:
     Purely observational: fed by the same completions
     :class:`HarnessStats` sees, printed at most once per
     ``min_interval_s`` (plus a final line), and never touches stdout or
-    any result row.
+    any result row.  ``restored`` cells (read back from a checkpoint)
+    count towards ``done/total`` but not towards the rate and ETA,
+    which only the cells executed since construction inform.
     """
 
-    def __init__(self, name: str, total: int, *, enabled: bool = False,
-                 min_interval_s: float = 0.5, stream=None) -> None:
+    def __init__(self, name: str, total: int, *, restored: int = 0,
+                 enabled: bool = False, min_interval_s: float = 0.5,
+                 stream=None) -> None:
         self.name = name
         self.total = total
         self.enabled = enabled
@@ -152,22 +159,24 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self._t0 = time.monotonic()
         self._last_print = 0.0
-        self._done = 0
+        self._restored = restored
+        self._executed = 0
 
     def cell_done(self) -> None:
-        """One more cell finished (completed or restored)."""
-        self._done += 1
+        """One more cell executed."""
+        self._executed += 1
         if not self.enabled:
             return
+        done = self._restored + self._executed
         now = time.monotonic()
-        if self._done < self.total and now - self._last_print < self.min_interval_s:
+        if done < self.total and now - self._last_print < self.min_interval_s:
             return
         self._last_print = now
         elapsed = now - self._t0
-        rate = self._done / elapsed if elapsed > 0 else 0.0
-        eta = (self.total - self._done) / rate if rate > 0 else float("inf")
+        rate = self._executed / elapsed if elapsed > 0 else 0.0
+        eta = (self.total - done) / rate if rate > 0 else float("inf")
         print(
-            f"[{self.name}] {self._done}/{self.total} cells "
+            f"[{self.name}] {done}/{self.total} cells "
             f"({rate:.1f} cells/s, ETA {eta:.0f}s)",
             file=self.stream,
         )

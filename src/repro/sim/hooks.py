@@ -65,19 +65,6 @@ class EngineHooks:
     #: Set to True on subclasses that consume ``Decision.provenance``.
     wants_decision_provenance = False
 
-    def reset(self) -> None:
-        """Return the hook to its just-constructed state.
-
-        The warm worker path of the parallel harness reuses hook
-        objects across the runs a worker executes, calling ``reset()``
-        before every run.  The default re-runs ``__init__`` — exact for
-        every hook built by a zero-argument registry factory
-        (:func:`register_hook` requires one), which is why a reset hook
-        observes byte-identically to a fresh instance.  Hooks whose
-        constructors do work that must not repeat should override.
-        """
-        self.__init__()
-
     def on_start(self, view: "SimulationView") -> None:
         """Called once before the first decision."""
 

@@ -8,6 +8,7 @@ at module level so forked pool workers inherit them by name.
 
 import json
 import os
+import re
 import signal
 import time
 
@@ -223,6 +224,31 @@ class TestCheckpointResume:
             fh.write("not json\n")
         store = CheckpointStore(path, experiment="test_res_ok", overrides=_OVERRIDES)
         with pytest.raises(ModelError, match="corrupt checkpoint"):
+            store.load_completed()
+
+    @pytest.mark.parametrize(
+        "record, bad_line",
+        [
+            ("[1, 2]", 1),
+            ("[1]", 2),
+            ('{"kind": "cell", "point": 0, "rep": 0}', 2),
+            ('{"kind": "cell", "point": "a", "rep": 0, "rows": []}', 2),
+            ('{"kind": "cell", "point": 0, "rep": 0, "rows": [1]}', 2),
+        ],
+        ids=["header-not-object", "cell-not-object", "no-rows", "bad-point", "bad-row"],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, record, bad_line):
+        path = str(tmp_path / "cells.jsonl")
+        header = json.dumps({
+            "schema": "repro.cells/1", "kind": "header",
+            "experiment": "test_res_ok", "overrides": _OVERRIDES,
+        })
+        lines = [record] if bad_line == 1 else [header, record]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        store = CheckpointStore(path, experiment="test_res_ok", overrides=_OVERRIDES)
+        where = re.escape(f"corrupt checkpoint {path}:{bad_line}: ")
+        with pytest.raises(ModelError, match=where):
             store.load_completed()
 
     def test_fresh_start_truncates(self, tmp_path):

@@ -99,7 +99,7 @@ EXPERIMENTS_ERRORS = [
     (["fig2a", "--retry-budget", "4"], "apply only to: degradation_mtbf"),
     (["fig2a", "--resume"], "--resume requires --checkpoint"),
     (["all", "--checkpoint", "cells.jsonl"], "need a single experiment"),
-    (["fig2a", "--checkpoint-group", "0"], "--checkpoint-group must be positive"),
+    (["fig2a", "--checkpoint-group", "0"], "unrecognized arguments: --checkpoint-group"),
     (["degradation_mtbf", "--workers", "0"], "--workers must be positive"),
     (["fig2a", "--workers", "-3"], "--workers must be positive"),
     (["fig2a", "--timeout", "0"], "--timeout must be positive"),

@@ -1,19 +1,10 @@
-"""Tests for the compact IPC wire format of the parallel harness."""
+"""Tests for the IPC wire format of the parallel harness."""
 
 import pickle
 
-import pytest
-
-from repro.core.errors import ModelError
 from repro.experiments.cli import build_spec
 from repro.experiments.runner import run_cell
-from repro.experiments.wire import (
-    WIRE_VERSION,
-    decode_rows,
-    encode_rows,
-    pack_rows,
-    unpack_rows,
-)
+from repro.experiments.wire import pack_rows, unpack_rows
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 
 
@@ -25,14 +16,14 @@ def _rows(instrument=None):
 class TestRoundTrip:
     def test_plain_rows_round_trip_exactly(self):
         rows = _rows()
-        assert decode_rows(encode_rows(rows)) == rows
+        assert unpack_rows(pack_rows(rows)) == rows
 
     def test_instrumented_rows_round_trip_exactly(self):
         # Telemetry dicts (nested metric maps, float lists) must come
         # back equal — this is what rides the pool in production sweeps.
         rows = _rows(instrument=DEFAULT_TELEMETRY_HOOKS)
         assert any(r.telemetry is not None for r in rows)
-        decoded = decode_rows(encode_rows(rows))
+        decoded = unpack_rows(pack_rows(rows))
         assert decoded == rows
         for a, b in zip(decoded, rows):
             assert a.telemetry == b.telemetry
@@ -40,10 +31,10 @@ class TestRoundTrip:
     def test_traced_rows_round_trip_exactly(self):
         rows = _rows(instrument=("tracing",))
         assert any(r.trace is not None for r in rows)
-        assert decode_rows(encode_rows(rows)) == rows
+        assert unpack_rows(pack_rows(rows)) == rows
 
     def test_empty_cell(self):
-        assert decode_rows(encode_rows([])) == []
+        assert unpack_rows(pack_rows([])) == []
 
     def test_packed_blob_round_trips_exactly(self):
         rows = _rows(instrument=DEFAULT_TELEMETRY_HOOKS)
@@ -61,10 +52,3 @@ class TestCompression:
         raw = len(pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL))
         assert len(pack_rows(rows)) < raw / 4
 
-
-class TestVersionGuard:
-    def test_version_mismatch_rejected(self):
-        payload = encode_rows(_rows())
-        stale = (WIRE_VERSION + 1,) + payload[1:]
-        with pytest.raises(ModelError, match="wire version"):
-            decode_rows(stale)
