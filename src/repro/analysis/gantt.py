@@ -75,6 +75,10 @@ def _collect_lanes(schedule: Schedule, show_comm: bool) -> list[_Lane]:
     return lanes
 
 
+#: Narrowest time axis :func:`render_gantt` draws, in character cells.
+MIN_WIDTH = 10
+
+
 def render_gantt(
     schedule: Schedule,
     *,
@@ -88,8 +92,8 @@ def render_gantt(
     cell is drawn with a job's symbol when that job occupies more than
     half of the cell's span on that lane.
     """
-    if width < 10:
-        raise ValueError(f"width must be at least 10, got {width}")
+    if width < MIN_WIDTH:
+        raise ValueError(f"width must be at least {MIN_WIDTH}, got {width}")
     span = schedule.makespan()
     if span <= 0:
         return "(empty schedule)"

@@ -253,6 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(_FAULT_OPTS_ONLY)
     if args.workers < 1:
         parser.error("--workers must be positive")
+    if args.reps is not None and args.reps < 1:
+        parser.error("--reps must be positive")
+    if args.n_jobs is not None and args.n_jobs < 0:
+        parser.error("--n-jobs must be non-negative")
     if args.timeout is not None and not args.timeout > 0:
         parser.error("--timeout must be positive")
 

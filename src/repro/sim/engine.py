@@ -13,9 +13,9 @@ The run loop is composed from three layers plus an observer protocol:
   state of every exclusive compute slot and communication port, with an
   incremental API so activation only re-evaluates the decision suffix
   that the last event batch could have affected;
-* the **activity kernel** (:mod:`repro.sim.kernel`) — vectorized
-  remaining-amount arithmetic (one masked ``rem -= rate * dt`` per
-  phase) and next-event distances over array slices;
+* the **activity kernel** (:mod:`repro.sim.kernel`) — remaining-amount
+  arithmetic (``rem -= rate * dt`` with snap-to-zero) and next-event
+  distances over the active set's columns;
 * **hooks** (:mod:`repro.sim.hooks`) — all instrumentation (interval
   traces, counters, profilers, watermarks) observes the run through
   the :class:`~repro.sim.hooks.EngineHooks` callbacks; the engine core
@@ -270,9 +270,8 @@ class Engine:
         self._outlook = None
 
         # Per-position grant bookkeeping of the last activation round
-        # (aligned with the decision's columnar arrays); backs the
-        # ledger's incremental release path.
-        self._prev: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (aligned with the decision's columns); backs the ledger's
+        # incremental release path.
         self._prev_l: tuple[list, list, list, list] | None = None
         #: Blocked-set constancy key of the last activation round (None
         #: when the run has no windows and no faults).  Incremental
@@ -345,25 +344,19 @@ class Engine:
 
             jobs, kinds, indices = decision.as_arrays()
             self._apply(state, hooks, jobs, kinds, indices, decision)
-            # Small decisions run an all-scalar step (lists end to end);
-            # both modes perform identical IEEE-754 arithmetic.
-            small = jobs.size <= 32
             jobs_l, kinds_l, indices_l = jobs.tolist(), kinds.tolist(), indices.tolist()
-            if small:
-                acts_l = kernel.request_kinds(jobs_l, kinds_l)
-                acts = np.array(acts_l, dtype=np.int8)
-            else:
-                acts = kernel.request_kinds(jobs, kinds)
-                acts_l = acts.tolist()
+            acts_l = kernel.request_kinds(jobs_l, kinds_l)
             jobs_active, acts_active, rates_active = self._activate(
-                jobs, kinds, indices, acts, jobs_l, kinds_l, indices_l, acts_l, now, small
+                jobs_l, kinds_l, indices_l, acts_l, now
             )
 
-            # Earliest next event.
+            # Earliest next event.  The kernel's distances are NumPy
+            # scalars; the clock must stay a Python float, or every
+            # later float operation (placement included) pays NumPy
+            # scalar overhead.
             dt = float("inf")
-            if len(jobs_active):
-                ttc = kernel.time_to_completion(jobs_active, acts_active, rates_active)
-                dt = float(min(ttc)) if small else float(ttc.min())
+            if jobs_active:
+                dt = float(min(kernel.time_to_completion(jobs_active, acts_active, rates_active)))
             if next_rel < n:
                 dt = min(dt, float(release_times[release_order[next_rel]]) - state.now)
             if self._has_windows:
@@ -373,9 +366,9 @@ class Engine:
                 fault_b = self.faults.next_boundary(state.now)
                 dt = min(dt, fault_b - state.now)
             ckpt_b = float("inf")
-            if self._has_ckpt and len(jobs_active):
+            if self._has_ckpt and jobs_active:
                 ckpt_b = self._next_commit_boundary(
-                    state, kernel, jobs_active, acts_active, rates_active, small
+                    state, kernel, jobs_active, acts_active, rates_active
                 )
                 dt = min(dt, ckpt_b - state.now)
 
@@ -396,10 +389,6 @@ class Engine:
             completed = kernel.advance(jobs_active, acts_active, rates_active, dt)
 
             if hooks.has_step:
-                if not small:
-                    jobs_active = jobs_active.tolist()
-                    acts_active = acts_active.tolist()
-                    rates_active = rates_active.tolist()
                 active = [
                     (j, _ACT_PHASE[a], r)
                     for j, a, r in zip(jobs_active, acts_active, rates_active)
@@ -408,13 +397,9 @@ class Engine:
                     cb(now, t_next, active)
 
             events = []
-            if small or hooks.has_step:
-                positions = [p for p, f in enumerate(completed) if f]
-            else:
-                positions = np.nonzero(completed)[0].tolist()
-            for pos in positions:
-                i = int(jobs_active[pos])
-                act = acts_active[pos]
+            for i, act, finished in zip(jobs_active, acts_active, completed):
+                if not finished:
+                    continue
                 if act == ACT_UPLINK:
                     events.append(uplink_done(t_next, i))
                     if (
@@ -511,11 +496,14 @@ class Engine:
             return
         if ((jobs >= 0) & (jobs < instance.n_jobs)).all():
             edge_mask = kinds == ALLOC_EDGE
+            cloud_mask = kinds == ALLOC_CLOUD
+            cloud_idx = indices[cloud_mask]
             if (
-                not state.done[jobs].any()
+                (edge_mask | cloud_mask).all()
+                and not state.done[jobs].any()
                 and not (instance.release[jobs] > state.now + _ABS_TOL).any()
                 and not (indices[edge_mask] != instance.origin[jobs[edge_mask]]).any()
-                and not (indices[~edge_mask] >= instance.platform.n_cloud).any()
+                and ((cloud_idx >= 0) & (cloud_idx < instance.platform.n_cloud)).all()
             ):
                 changed = state.assign_many(jobs, kinds, indices)
                 if hooks.has_assign and changed.any():
@@ -552,14 +540,18 @@ class Engine:
                 raise DecisionError(
                     f"job {i} is not released yet (r={release_times[i]}, t={now})"
                 )
+            # Messages spell resources out: edge()/cloud() reject the
+            # negative indices reported here.
             if kind == ALLOC_EDGE:
                 if idx != origin[i]:
                     raise DecisionError(
                         f"job {i} originates from edge[{origin[i]}], "
-                        f"cannot run on {edge(idx)}"
+                        f"cannot run on edge[{idx}]"
                     )
-            elif idx >= n_cloud:
-                raise DecisionError(f"no such cloud processor: {cloud(idx)}")
+            elif kind != ALLOC_CLOUD:
+                raise DecisionError(f"job {i} has an unknown allocation kind: {kind}")
+            elif not 0 <= idx < n_cloud:
+                raise DecisionError(f"no such cloud processor: cloud[{idx}]")
             if alloc_kind[i] != kind or alloc_index[i] != idx:
                 alloc_kind[i] = kind
                 alloc_index[i] = idx
@@ -587,9 +579,9 @@ class Engine:
         boundary: float,
         t_next: float,
         events: list[Event],
-        jobs_active,
-        acts_active,
-        completed,
+        jobs_active: list,
+        acts_active: list,
+        completed: list,
     ) -> int:
         """Process the fault transitions at ``boundary`` (== ``t_next``).
 
@@ -608,13 +600,10 @@ class Engine:
         # One boundary instant == one epoch bump: every epoch-scoped
         # cache (cross-event replay in particular) invalidates here.
         state.fault_epoch += 1
-        jobs_l = jobs_active if isinstance(jobs_active, list) else jobs_active.tolist()
-        acts_l = acts_active if isinstance(acts_active, list) else acts_active.tolist()
-        comp_l = completed if isinstance(completed, list) else completed.tolist()
         inflight = [
-            (int(j), a)
-            for j, a, c in zip(jobs_l, acts_l, comp_l)
-            if not c and not state.done[int(j)]
+            (j, a)
+            for j, a, c in zip(jobs_active, acts_active, completed)
+            if not c and not state.done[j]
         ]
         to_abort: dict[int, object] = {}  # job -> resource whose fault killed it
 
@@ -689,7 +678,7 @@ class Engine:
 
     def _next_commit_boundary(
         self, state: SimState, kernel: ActivityKernel,
-        jobs_active, acts_active, rates_active, small: bool,
+        jobs_active: list, acts_active: list, rates_active: list,
     ) -> float:
         """Earliest periodic commit boundary among the active computes.
 
@@ -703,15 +692,12 @@ class Engine:
         interval = self.checkpoint.interval
         if interval is None:
             return float("inf")
-        jl = jobs_active if small else jobs_active.tolist()
-        al = acts_active if small else acts_active.tolist()
-        rl = rates_active if small else rates_active.tolist()
         rem_work = state.rem_work
         ckpt_work = state.ckpt_work
         work_tol = kernel.work_tol
         now = state.now
         best = float("inf")
-        for j, a, r in zip(jl, al, rl):
+        for j, a, r in zip(jobs_active, acts_active, rates_active):
             if a != ACT_COMPUTE:
                 continue
             target = float(ckpt_work[j]) - interval
@@ -724,7 +710,7 @@ class Engine:
 
     def _process_commits(
         self, state: SimState, kernel: ActivityKernel, t_next: float,
-        events: list[Event], jobs_active, acts_active,
+        events: list[Event], jobs_active: list, acts_active: list,
     ) -> None:
         """Advance every active compute sitting on its commit boundary.
 
@@ -739,12 +725,9 @@ class Engine:
         if interval is None:
             return
         cost = self.checkpoint.commit_cost
-        jl = jobs_active if isinstance(jobs_active, list) else jobs_active.tolist()
-        al = acts_active if isinstance(acts_active, list) else acts_active.tolist()
-        for j, a in zip(jl, al):
+        for j, a in zip(jobs_active, acts_active):
             if a != ACT_COMPUTE:
                 continue
-            j = int(j)
             if state.done[j]:
                 continue
             tol = float(kernel.work_tol[j])
@@ -767,22 +750,16 @@ class Engine:
 
     def _activate(
         self,
-        jobs: np.ndarray,
-        kinds: np.ndarray,
-        indices: np.ndarray,
-        acts: np.ndarray,
         jobs_l: list,
         kinds_l: list,
         indices_l: list,
         acts_l: list,
         now: float,
-        small: bool,
-    ):
+    ) -> tuple[list, list, list]:
         """Grant resources in priority order; return the active set.
 
-        Returns parallel ``(jobs, activities, rates)`` columns of the
-        granted activities, in decision priority order — plain lists in
-        small-step mode, arrays otherwise.
+        Returns parallel ``(jobs, activities, rates)`` lists of the
+        granted activities, in decision priority order.
 
         Grants are resumed incrementally: positions before the first
         request that changed since the previous round keep their grant
@@ -808,33 +785,18 @@ class Engine:
                 # The round's down-state was served by key equality
                 # instead of a fresh scan — a delta update.
                 self._outlook.n_delta_updates += 1
-            if small:
-                pjobs_l, pkinds_l, pindices_l, pacts_l = prev_l
-                mm = min(len(jobs_l), len(pjobs_l))
-                start = mm
-                for pos in range(mm):
-                    if (
-                        jobs_l[pos] != pjobs_l[pos]
-                        or kinds_l[pos] != pkinds_l[pos]
-                        or indices_l[pos] != pindices_l[pos]
-                        or acts_l[pos] != pacts_l[pos]
-                    ):
-                        start = pos
-                        break
-            else:
-                pjobs, pkinds, pindices, pacts = self._prev
-                m = min(jobs.size, pjobs.size)
-                if m:
-                    diff = (
-                        (jobs[:m] != pjobs[:m])
-                        | (kinds[:m] != pkinds[:m])
-                        | (indices[:m] != pindices[:m])
-                        | (acts[:m] != pacts[:m])
-                    )
-                    nz = np.nonzero(diff)[0]
-                    start = int(nz[0]) if nz.size else m
-                else:
-                    start = 0
+            pjobs_l, pkinds_l, pindices_l, pacts_l = prev_l
+            mm = min(len(jobs_l), len(pjobs_l))
+            start = mm
+            for pos in range(mm):
+                if (
+                    jobs_l[pos] != pjobs_l[pos]
+                    or kinds_l[pos] != pkinds_l[pos]
+                    or indices_l[pos] != pindices_l[pos]
+                    or acts_l[pos] != pacts_l[pos]
+                ):
+                    start = pos
+                    break
             granted = self._pos_granted
             for pos in range(start, len(granted)):
                 if granted[pos]:
@@ -855,28 +817,19 @@ class Engine:
             self._pos_rate.clear()
 
         self._scan(start, jobs_l, kinds_l, indices_l, acts_l, now)
-        self._prev = (jobs, kinds, indices, acts)
         self._prev_l = (jobs_l, kinds_l, indices_l, acts_l)
         self._prev_block_key = block_key
 
-        granted = self._pos_granted
-        if small:
-            ja: list = []
-            aa: list = []
-            ra: list = []
-            rates_l = self._pos_rate
-            for pos, ok in enumerate(granted):
-                if ok:
-                    ja.append(jobs_l[pos])
-                    aa.append(acts_l[pos])
-                    ra.append(rates_l[pos])
-            return ja, aa, ra
-        g = np.array(granted, dtype=bool)
-        if not g.any():
-            empty_f = np.empty(0, dtype=np.float64)
-            return jobs[:0], acts[:0], empty_f
-        rates = np.array(self._pos_rate, dtype=np.float64)
-        return jobs[g], acts[g], rates[g]
+        ja: list = []
+        aa: list = []
+        ra: list = []
+        rates_l = self._pos_rate
+        for pos, ok in enumerate(self._pos_granted):
+            if ok:
+                ja.append(jobs_l[pos])
+                aa.append(acts_l[pos])
+                ra.append(rates_l[pos])
+        return ja, aa, ra
 
     def _scan(
         self,

@@ -20,8 +20,8 @@ callback        fired
 
 The engine pre-binds, per callback, the list of hooks that actually
 override it (:class:`HookSet`), so unused callbacks cost nothing in the
-hot loop — an engine run with no step hooks performs no per-activity
-Python work at all.
+hot loop — an engine run with no step hooks builds no per-activity
+``active`` list.
 
 Ship-with hooks: :class:`EventCounter` (the engine's own bookkeeping),
 :class:`StepTimingProfiler` and :class:`StretchWatermarkMonitor` here,

@@ -1,23 +1,27 @@
-"""The activity kernel: vectorized job-progress arithmetic.
+"""The activity kernel: job-progress arithmetic over the active set.
 
 The middle layer of the sim-core.  Given the engine's *active set* —
-parallel arrays of (job, activity, rate) in grant order — the kernel
-answers the three numeric questions of a simulation step without any
-per-job Python loop:
+parallel lists of (job, activity, rate) in grant order — the kernel
+answers the three numeric questions of a simulation step:
 
 * which activity each assigned job *requests* right now
-  (:meth:`ActivityKernel.request_kinds`, the vectorized form of
+  (:meth:`ActivityKernel.request_kinds`, the columnar form of
   :meth:`repro.sim.state.SimState.phase`);
 * how far away the next activity completion is
   (:meth:`ActivityKernel.time_to_completion`, one ``rem / rate`` per
-  phase over array slices);
+  active entry);
 * what remains after advancing ``dt`` (:meth:`ActivityKernel.advance`,
-  one masked ``rem -= rate * dt`` per phase, with snap-to-zero at the
+  one ``rem -= rate * dt`` per active entry, with snap-to-zero at the
   per-job completion tolerances).
 
-All arithmetic is elementwise IEEE-754 double precision on the same
-state arrays the scalar engine used, so results are bit-identical to
-the historical per-job loop.
+Each method takes plain lists and returns a list.  Even on the
+historical n=2000 anchors a decision holds a few hundred entries and
+the active set far fewer, and at those sizes a Python loop over lists
+costs less in total than building, masking and converting NumPy arrays
+every step (docs/ENGINE.md has the measurements).  The remaining
+amounts stay in the :class:`SimState` float64 arrays and each entry is
+one IEEE-754 double operation on its own element, so a step's results
+do not depend on how many entries it has.
 """
 
 from __future__ import annotations
@@ -33,14 +37,9 @@ from repro.util.float_cmp import DEFAULT_ABS_TOL
 #: (relative to its total amount) is considered finished.
 _REL_TOL = 1e-9
 
-#: Below this many active entries, scalar loops beat the fixed overhead
-#: of NumPy dispatch; both paths run the same IEEE-754 arithmetic, so
-#: results are bit-identical either way.
-_SMALL = 32
-
 
 class ActivityKernel:
-    """Vectorized progress arithmetic over one run's :class:`SimState`."""
+    """Progress arithmetic over one run's :class:`SimState`."""
 
     __slots__ = ("state", "up_tol", "work_tol", "dn_tol")
 
@@ -51,118 +50,60 @@ class ActivityKernel:
         self.work_tol = np.maximum(1.0, instance.work) * _REL_TOL
         self.dn_tol = np.maximum(1.0, instance.dn) * _REL_TOL
 
-    def request_kinds(
-        self, jobs: "np.ndarray | list", kinds: "np.ndarray | list"
-    ) -> "np.ndarray | list":
+    def request_kinds(self, jobs: list, kinds: list) -> list:
         """Activity code each assigned job requests in its current attempt.
 
-        ``jobs`` / ``kinds`` are the decision's columnar arrays; the
-        result holds :data:`ACT_UPLINK` / :data:`ACT_COMPUTE` /
+        ``jobs`` / ``kinds`` are the decision's columns; the result
+        holds :data:`ACT_UPLINK` / :data:`ACT_COMPUTE` /
         :data:`ACT_DOWNLINK` per position.  Mirrors
         :meth:`SimState.phase` (zero-length communications skipped; edge
         attempts compute only), minus the DONE case — completed jobs
         cannot appear in a well-formed decision.
         """
-        state = self.state
-        small = type(jobs) is list
-        if small or jobs.size <= _SMALL:
-            rem_up = state.rem_up
-            rem_work = state.rem_work
-            out = []
-            jl = jobs if small else jobs.tolist()
-            kl = kinds if small else kinds.tolist()
-            for j, k in zip(jl, kl):
-                if k == ALLOC_CLOUD:
-                    if rem_up[j] > DEFAULT_ABS_TOL:
-                        out.append(ACT_UPLINK)
-                    elif rem_work[j] > DEFAULT_ABS_TOL:
-                        out.append(ACT_COMPUTE)
-                    else:
-                        out.append(ACT_DOWNLINK)
-                else:
+        rem_up = self.state.rem_up
+        rem_work = self.state.rem_work
+        out = []
+        for j, k in zip(jobs, kinds):
+            if k == ALLOC_CLOUD:
+                if rem_up[j] > DEFAULT_ABS_TOL:
+                    out.append(ACT_UPLINK)
+                elif rem_work[j] > DEFAULT_ABS_TOL:
                     out.append(ACT_COMPUTE)
-            return out if small else np.array(out, dtype=np.int8)
-        acts = np.full(jobs.size, ACT_COMPUTE, dtype=np.int8)
-        on_cloud = kinds == ALLOC_CLOUD
-        if on_cloud.any():
-            up_left = state.rem_up[jobs] > DEFAULT_ABS_TOL
-            work_left = state.rem_work[jobs] > DEFAULT_ABS_TOL
-            acts[on_cloud & up_left] = ACT_UPLINK
-            acts[on_cloud & ~up_left & ~work_left] = ACT_DOWNLINK
-        return acts
-
-    def time_to_completion(
-        self, jobs: "np.ndarray | list", acts: "np.ndarray | list", rates: "np.ndarray | list"
-    ) -> "np.ndarray | list":
-        """Remaining duration ``rem / rate`` of every active activity.
-
-        List inputs (the engine's small-step mode) return a plain list;
-        array inputs return an array.  Both paths divide the same
-        float64 scalars, so the values are bit-identical.
-        """
-        state = self.state
-        small = type(jobs) is list
-        if small or jobs.size <= _SMALL:
-            rems = (state.rem_up, state.rem_work, state.rem_dn)
-            if small:
-                return [rems[a][j] / r for j, a, r in zip(jobs, acts, rates)]
-            return np.array(
-                [
-                    rems[a][j] / r
-                    for j, a, r in zip(jobs.tolist(), acts.tolist(), rates.tolist())
-                ]
-            )
-        out = np.empty(jobs.size, dtype=np.float64)
-        for act, rem in (
-            (ACT_UPLINK, state.rem_up),
-            (ACT_COMPUTE, state.rem_work),
-            (ACT_DOWNLINK, state.rem_dn),
-        ):
-            mask = acts == act
-            if mask.any():
-                out[mask] = rem[jobs[mask]] / rates[mask]
+                else:
+                    out.append(ACT_DOWNLINK)
+            else:
+                out.append(ACT_COMPUTE)
         return out
 
-    def advance(
-        self, jobs: "np.ndarray | list", acts: "np.ndarray | list", rates: "np.ndarray | list", dt: float
-    ) -> "np.ndarray | list":
-        """Advance every active activity by ``dt``; return completion mask.
+    def time_to_completion(self, jobs: list, acts: list, rates: list) -> list:
+        """Remaining duration ``rem / rate`` of every active activity.
+
+        The values are NumPy float64 scalars (the state arrays' element
+        type); callers convert the minimum to ``float`` before it
+        enters the clock.
+        """
+        state = self.state
+        rems = (state.rem_up, state.rem_work, state.rem_dn)
+        return [rems[a][j] / r for j, a, r in zip(jobs, acts, rates)]
+
+    def advance(self, jobs: list, acts: list, rates: list, dt: float) -> list:
+        """Advance every active activity by ``dt``; return completion flags.
 
         Remaining amounts within tolerance of zero are snapped to
         exactly ``0.0`` (so downstream phase tests see clean state),
-        and the returned boolean array marks, per active position,
-        activities that finished at the end of this step.
+        and the returned list marks, per active position, activities
+        that finished at the end of this step.
         """
         state = self.state
-        small = type(jobs) is list
-        if small or jobs.size <= _SMALL:
-            rems = (state.rem_up, state.rem_work, state.rem_dn)
-            tols = (self.up_tol, self.work_tol, self.dn_tol)
-            done = []
-            if not small:
-                jobs, acts, rates = jobs.tolist(), acts.tolist(), rates.tolist()
-            for j, a, r in zip(jobs, acts, rates):
-                rem = rems[a]
-                rem[j] -= r * dt
-                if rem[j] <= tols[a][j]:
-                    rem[j] = 0.0
-                    done.append(True)
-                else:
-                    done.append(False)
-            return done if small else np.array(done, dtype=bool)
-        completed = np.zeros(jobs.size, dtype=bool)
-        for act, rem, tol in (
-            (ACT_UPLINK, state.rem_up, self.up_tol),
-            (ACT_COMPUTE, state.rem_work, self.work_tol),
-            (ACT_DOWNLINK, state.rem_dn, self.dn_tol),
-        ):
-            mask = acts == act
-            if not mask.any():
-                continue
-            ids = jobs[mask]
-            rem[ids] -= rates[mask] * dt
-            finished = rem[ids] <= tol[ids]
-            if finished.any():
-                rem[ids[finished]] = 0.0
-            completed[mask] = finished
-        return completed
+        rems = (state.rem_up, state.rem_work, state.rem_dn)
+        tols = (self.up_tol, self.work_tol, self.dn_tol)
+        done = []
+        for j, a, r in zip(jobs, acts, rates):
+            rem = rems[a]
+            rem[j] -= r * dt
+            if rem[j] <= tols[a][j]:
+                rem[j] = 0.0
+                done.append(True)
+            else:
+                done.append(False)
+        return done

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.gantt import render_gantt
+from repro.analysis.gantt import MIN_WIDTH, render_gantt
 from repro.analysis.timeline import all_breakdowns
 from repro.core.errors import ModelError
 from repro.core.metrics import utilization
@@ -154,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     options = RunOptions.from_args(parser, args)
+    if args.gantt and args.width < MIN_WIDTH:
+        parser.error(f"--width must be at least {MIN_WIDTH}, got {args.width}")
     if args.fault_mtbf is None:
         if args.fault_mttr is not None:
             parser.error("--fault-mttr requires --fault-mtbf")
@@ -170,20 +172,24 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--failure-aware has no variant for policy {policy!r}")
         policy = FAILURE_AWARE_VARIANT[policy]
 
-    if args.generate == "random":
-        instance = generate_random_instance(
-            RandomInstanceConfig(n_jobs=args.n_jobs, ccr=args.ccr, load=args.load),
-            seed=args.seed,
-        )
-    elif args.generate == "kang":
-        instance = generate_kang_instance(
-            KangConfig(n_jobs=args.n_jobs, load=args.load), seed=args.seed
-        )
-    elif args.instance:
-        instance = load_instance(args.instance)
-    else:
-        parser.error("give an instance file or --generate")
-        return 2  # pragma: no cover - parser.error raises
+    try:
+        if args.generate == "random":
+            instance = generate_random_instance(
+                RandomInstanceConfig(n_jobs=args.n_jobs, ccr=args.ccr, load=args.load),
+                seed=args.seed,
+            )
+        elif args.generate == "kang":
+            instance = generate_kang_instance(
+                KangConfig(n_jobs=args.n_jobs, load=args.load), seed=args.seed
+            )
+        elif args.instance:
+            instance = load_instance(args.instance)
+        else:
+            parser.error("give an instance file or --generate")
+            return 2  # pragma: no cover - parser.error raises
+    except (OSError, ValueError, ModelError) as exc:
+        # Unreadable or malformed file, or out-of-range generator values.
+        parser.error(f"cannot build the instance: {exc}")
 
     faults = None
     if args.fault_mtbf is not None:

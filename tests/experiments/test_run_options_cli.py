@@ -92,6 +92,13 @@ SIMULATE_ERRORS = [
         ["--generate", "random", "--policy", "edge-only", "--failure-aware"],
         "--failure-aware has no variant for policy 'edge-only'",
     ),
+    (["--generate", "random", "--n-jobs", "-1"], "n_jobs must be non-negative, got -1"),
+    (["--generate", "random", "--load", "0"], "load must be positive, got 0.0"),
+    (["--generate", "random", "--ccr", "-1"], "ccr must be non-negative, got -1.0"),
+    (["--generate", "random", "--seed", "-1"], "expected non-negative integer"),
+    (["--generate", "kang", "--n-jobs", "-2"], "invalid sizes: n_jobs=-2"),
+    (["does-not-exist.json"], "No such file or directory: 'does-not-exist.json'"),
+    (["--generate", "random", "--gantt", "--width", "5"], "--width must be at least 10, got 5"),
 ]
 
 EXPERIMENTS_ERRORS = [
@@ -107,6 +114,9 @@ EXPERIMENTS_ERRORS = [
         ["degradation_mtbf", "--timeout", "-1", "--on-cell-error", "skip"],
         "--timeout must be positive",
     ),
+    (["fig2a", "--reps", "0"], "--reps must be positive"),
+    (["fig2a", "--n-jobs", "-1"], "--n-jobs must be non-negative"),
+    (["fig2a", "--n-jobs", "-1", "--workers", "2"], "--n-jobs must be non-negative"),
 ]
 
 
@@ -148,9 +158,22 @@ def test_simulate_usage_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "contents, message",
+    [("not json", "Expecting value"), ('{"bad": 1}', "unsupported format_version None")],
+    ids=["not-json", "no-format-version"],
+)
+def test_simulate_malformed_instance_file(capsys, tmp_path, contents, message):
+    path = tmp_path / "instance.json"
+    path.write_text(contents)
+    assert message in _usage_error(capsys, "simulate", [str(path)])
+
+
+@pytest.mark.parametrize(
     "argv, message", EXPERIMENTS_ERRORS, ids=[" ".join(a) for a, _ in EXPERIMENTS_ERRORS]
 )
 def test_experiments_usage_error(capsys, argv, message):
-    # Tiny sizes, so a check that is missing fails fast instead of sweeping.
-    argv = argv + ["--reps", "1", "--n-jobs", "3", "--quiet"]
+    # Tiny sizes, so a check that is missing fails fast instead of
+    # sweeping.  They go first: argparse keeps the last value of a flag,
+    # so a row's own --reps or --n-jobs must come after them.
+    argv = ["--reps", "1", "--n-jobs", "3", "--quiet"] + argv
     assert message in _usage_error(capsys, "experiments", argv)

@@ -11,9 +11,16 @@ from repro.core.resources import cloud, edge
 from repro.core.validation import validate_schedule
 from repro.offline.list_scheduler import FixedPolicyScheduler
 from repro.schedulers.base import BaseScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.decision import Decision
 from repro.sim.engine import simulate
 from repro.sim.events import EventKind
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
+from repro.workloads.random_uniform import (
+    RandomInstanceConfig,
+    generate_random_instance,
+    paper_random_platform,
+)
 
 
 def run_fixed(instance, allocation, priority=None, **kwargs):
@@ -218,6 +225,37 @@ class TestEngineGuards:
         with pytest.raises(DecisionError, match="no such cloud"):
             run_fixed(inst, [cloud(5)])
 
+    # 1 entry takes the scalar sweep, 40 the array check of _apply.
+    @pytest.mark.parametrize("n_entries", [1, 40])
+    @pytest.mark.parametrize(
+        "kind, index, message",
+        [
+            (ALLOC_CLOUD, -1, r"no such cloud processor: cloud\[-1\]"),
+            (7, 0, "unknown allocation kind: 7"),
+            (ALLOC_EDGE, -1, r"cannot run on edge\[-1\]"),
+        ],
+        ids=["cloud-index-negative", "kind-unknown", "edge-index-negative"],
+    )
+    def test_bad_raw_entry_rejected(self, n_entries, kind, index, message):
+        """Raw columns from ``add_bulk`` are checked for sign and kind."""
+        platform = Platform.create([1.0], n_cloud=1)
+        inst = Instance.create(platform, [Job(origin=0, work=1.0)] * n_entries)
+
+        class Raw(BaseScheduler):
+            name = "raw"
+
+            def decide(self, view, events):
+                d = Decision()
+                d.add_bulk(
+                    list(range(n_entries)),
+                    [ALLOC_EDGE] * (n_entries - 1) + [kind],
+                    [0] * (n_entries - 1) + [index],
+                )
+                return d
+
+        with pytest.raises(DecisionError, match=message):
+            simulate(inst, Raw())
+
     def test_duplicate_assignment_rejected(self):
         platform = Platform.create([1.0], n_cloud=1)
         inst = Instance.create(platform, [Job(origin=0, work=1.0)])
@@ -302,6 +340,34 @@ class TestEventsAndResult:
         result = run_fixed(inst, [edge(0)], record_trace=False)
         assert result.schedule is None
         assert result.max_stretch == pytest.approx(1.0)
+
+    def test_clock_is_python_float_on_large_decisions(self):
+        """Every ``now`` a scheduler sees is a Python float, not a NumPy scalar."""
+        inst = generate_random_instance(
+            RandomInstanceConfig(n_jobs=100, ccr=1.0, load=1.0),
+            platform=paper_random_platform(),
+            seed=20210110,
+        )
+        inner = make_scheduler("ssf-edf")
+        clock_types = set()
+        largest = 0
+
+        class Watch:
+            name = "watch"
+
+            def start(self, view):
+                inner.start(view)
+
+            def decide(self, view, events):
+                nonlocal largest
+                clock_types.add(type(view.now))
+                decision = inner.decide(view, events)
+                largest = max(largest, len(decision))
+                return decision
+
+        simulate(inst, Watch(), record_trace=False)
+        assert largest > 32
+        assert clock_types == {float}
 
     def test_simultaneous_releases_processed_together(self):
         platform = Platform.create([1.0], n_cloud=0)

@@ -6,6 +6,11 @@ sha256 of the raw completion array bytes plus the exact float bits
 (``float.hex()``) of the stretch metrics and the event/decision/
 re-execution counters — any deviation in event ordering, grant order,
 progress arithmetic or tolerance handling shows up here.
+
+The ``ckpt-n100`` tag is a checkpointed, faulted run with a retry
+budget whose decisions exceed 32 entries, so it pins commit boundaries,
+abandonment and large decisions together.  It was captured from the
+engine that still stepped decisions above 32 entries on NumPy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import pytest
 from repro.faults.model import FaultClassParams, exponential_fault_trace
 from repro.schedulers.registry import make_scheduler
 from repro.sim.availability import periodic_unavailability
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.engine import simulate
+from repro.sim.hooks import EngineHooks
 from repro.workloads.kang import KangConfig, generate_kang_instance
 from repro.workloads.random_uniform import (
     RandomInstanceConfig,
@@ -115,7 +122,31 @@ def _instances():
         _renewal_faults(inst_fw, 23, 60.0, 5.0),
         False,
     )
+    inst_c = generate_random_instance(
+        RandomInstanceConfig(n_jobs=100, ccr=1.0, load=1.0),
+        platform=paper_random_platform(),
+        seed=20210110,
+    )
+    tags["ckpt-n100"] = (inst_c, None, _renewal_faults(inst_c, 29, 40.0, 4.0), False)
     return tags
+
+
+#: Checkpoint policy per tag (tags not listed run without one).
+_CHECKPOINTS = {
+    "ckpt-n100": CheckpointPolicy(
+        interval=2.0, commit_cost=0.1, phase_boundaries=True, retry_budget=4
+    ),
+}
+
+
+class _LargestDecision(EngineHooks):
+    """Records the entry count of the largest decision the engine applied."""
+
+    def __init__(self) -> None:
+        self.largest = 0
+
+    def on_decision(self, now, decision) -> None:
+        self.largest = max(self.largest, len(decision))
 
 
 _CASES = _load_cases()
@@ -132,12 +163,24 @@ def test_bit_identical_to_seed_engine(case):
     scheduler = (
         make_scheduler(policy, seed=123) if policy == "random" else make_scheduler(policy)
     )
+    checkpoint = _CHECKPOINTS.get(case["tag"])
+    largest = _LargestDecision()
     result = simulate(
-        inst, scheduler, availability=availability, faults=faults, record_trace=trace
+        inst,
+        scheduler,
+        availability=availability,
+        faults=faults,
+        checkpoint=checkpoint,
+        record_trace=trace,
+        hooks=[largest],
     )
+    if checkpoint is not None:
+        # The tag exists to drive the engine's step above 32 entries.
+        assert largest.largest > 32
     assert hashlib.sha256(result.completion.tobytes()).hexdigest() == case["completion_sha256"]
     assert result.max_stretch.hex() == case["max_stretch"]
     assert result.average_stretch.hex() == case["avg_stretch"]
     assert result.n_events == case["n_events"]
     assert result.n_decisions == case["n_decisions"]
     assert result.n_reexecutions == case["n_reexecutions"]
+    assert result.n_abandoned == case.get("n_abandoned", 0)
