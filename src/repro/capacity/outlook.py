@@ -34,6 +34,7 @@ down-set at every from-scratch activation round.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,20 @@ class ExpectationDiscount:
 NO_DISCOUNT = ExpectationDiscount()
 
 
+def _check_trace_fits(faults: FaultTrace, platform: Platform) -> None:
+    """Reject a trace naming a resource ``platform`` does not have."""
+    for domain, down, n, noun in (
+        (DOMAIN_EDGE, faults.edge_down, platform.n_edge, "edge unit"),
+        (DOMAIN_CLOUD, faults.cloud_down, platform.n_cloud, "cloud processor"),
+        (DOMAIN_LINK, faults.link_down, platform.n_edge, "access link"),
+    ):
+        if down and max(down) >= n:
+            raise ModelError(
+                f"fault trace names {domain}[{max(down)}], but the platform has "
+                f"{n} {noun}{'' if n == 1 else 's'}"
+            )
+
+
 class CapacityOutlook:
     """Deliverable-capacity and earliest-completion queries per resource.
 
@@ -147,6 +162,9 @@ class CapacityOutlook:
         "_win_clouds",
         "_blocked_key",
         "_blocked_cache",
+        "_fault_key",
+        "_down_counts",
+        "_down",
     )
 
     def __init__(
@@ -159,6 +177,7 @@ class CapacityOutlook:
         self.platform = platform
         self.availability = availability if availability is not None else CloudAvailability.always_available()
         self.faults = faults if faults is not None else FaultTrace.none()
+        _check_trace_fits(self.faults, platform)
         self.discount = discount if discount is not None else NO_DISCOUNT
         self.discounted = self.discount is not NO_DISCOUNT and self.discount != NO_DISCOUNT
         self.n_queries = 0
@@ -189,6 +208,40 @@ class CapacityOutlook:
         self.n_delta_updates = 0
         self._blocked_key: tuple[int, int] | None = None
         self._blocked_cache: tuple[list[int], list[int], list[int], list[int]] | None = None
+        self._reset_faults()
+
+    def _reset_faults(self) -> None:
+        """Down-state of fault key 0: every resource up."""
+        n_edge, n_cloud = self.platform.n_edge, self.platform.n_cloud
+        #: Fault key the down-state below describes.
+        self._fault_key = 0
+        #: Per-domain (edge, cloud, link) count of down intervals each
+        #: resource is inside; touching intervals briefly count 2 at
+        #: their shared instant, which keeps the resource down.
+        self._down_counts = ([0] * n_edge, [0] * n_cloud, [0] * n_edge)
+        #: Per-domain ascending indices of the resources with a nonzero count.
+        self._down: tuple[list[int], list[int], list[int]] = ([], [], [])
+
+    def _sweep_faults(self, key: int) -> None:
+        """Move the fault down-state to interval key ``key``.
+
+        Applies the trace's transition rows crossed since the current
+        key; an earlier key replays from key 0.
+        """
+        if key < self._fault_key:
+            self._reset_faults()
+        counts, down = self._down_counts, self._down
+        for _, goes_up, d, idx in self.faults.transition_rows(self._fault_key, key):
+            c = counts[d]
+            if goes_up:
+                c[idx] -= 1
+                if not c[idx]:
+                    down[d].remove(idx)
+            else:
+                c[idx] += 1
+                if c[idx] == 1:
+                    insort(down[d], idx)
+        self._fault_key = key
 
     # -- effective rates -------------------------------------------------------
 
@@ -237,23 +290,26 @@ class CapacityOutlook:
         Served from the delta cache when ``t`` falls in the same
         constancy interval as the previous query (see
         :meth:`blocked_key`); callers must treat the lists as
-        read-only.
+        read-only.  On a fault-key change the down-state is swept
+        forward over the trace's transitions crossed since the previous
+        answer (see :meth:`FaultTrace.transition_rows`), never re-probed
+        per resource; each answer holds fresh lists, so answers handed
+        out earlier never change.
         """
         self.n_queries += 1
         key = self.blocked_key(t)
         if key == self._blocked_key:
             self.n_delta_updates += 1
             return self._blocked_cache
-        if self._has_faults:
-            edges, clouds, links = self.faults.down_at(t)
-        else:
-            edges, clouds, links = [], [], []
+        if key[0] != self._fault_key:
+            self._sweep_faults(key[0])
         busy: list[int] = []
         if self._has_windows:
             av = self.availability
             busy = [k for k in self._win_clouds if not av.is_available(k, t)]
+        edges, clouds, links = self._down
         self._blocked_key = key
-        self._blocked_cache = (edges, clouds, links, busy)
+        self._blocked_cache = (edges[:], clouds[:], links[:], busy)
         return self._blocked_cache
 
     def next_boundary(self, t: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -61,12 +61,14 @@ class ResultRow:
         Telemetry and trace are deliberately excluded — they are
         structured, not columnar; the JSONL sinks
         (:mod:`repro.obs.sinks`, :mod:`repro.obs.tracing`) are their
-        export paths.
+        export paths.  They are never copied either: the dict is built
+        from the scalar fields alone.
         """
-        d = asdict(self)
-        del d["telemetry"]
-        del d["trace"]
-        return d
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("telemetry", "trace")
+        }
 
 
 @dataclass(frozen=True)

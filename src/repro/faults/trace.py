@@ -31,7 +31,7 @@ byte-identical results in any process (serial or pool worker).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -115,13 +115,6 @@ def _check_windows(label: str, windows: Mapping[int, tuple[Interval, ...]]) -> N
                 )
 
 
-def _is_down(ivs: tuple[Interval, ...], t: float) -> bool:
-    if not ivs:
-        return False
-    pos = bisect_right(ivs, t, key=lambda iv: iv.start) - 1
-    return pos >= 0 and ivs[pos].contains_time(t)
-
-
 @dataclass(frozen=True)
 class FaultTrace:
     """Per-resource crash/outage intervals, queried by absolute time.
@@ -140,48 +133,53 @@ class FaultTrace:
     rates: FaultRates | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        _check_windows("edge", self.edge_down)
-        _check_windows("cloud", self.cloud_down)
-        _check_windows("link", self.link_down)
+        mappings = (self.edge_down, self.cloud_down, self.link_down)
+        for label, mapping in zip(_DOMAINS, mappings):
+            _check_windows(label, mapping)
+        # The transition table: one row ``(time, goes_up, domain_rank,
+        # index)`` per interval start and one per interval end, sorted
+        # once.  Plain tuple order is the processing order at a
+        # simultaneous boundary — downs before ups, then edge, cloud,
+        # link, then index — so abort processing and event emission are
+        # deterministic.
+        rows = [
+            (iv.start, False, d, idx)
+            for d, mapping in enumerate(mappings)
+            for idx, ivs in mapping.items()
+            for iv in ivs
+        ]
+        rows += [
+            (iv.end, True, d, idx)
+            for d, mapping in enumerate(mappings)
+            for idx, ivs in mapping.items()
+            for iv in ivs
+        ]
+        rows.sort()
+        # Distinct boundary times, and the offset of each one's first
+        # row; ``offsets[k]`` is the number of rows at or before any
+        # instant whose interval key is ``k``.
         boundaries: list[float] = []
-        transitions: dict[float, list[FaultTransition]] = {}
-        for domain, mapping in zip(_DOMAINS, (self.edge_down, self.cloud_down, self.link_down)):
-            for idx in sorted(mapping):
-                for iv in mapping[idx]:
-                    for t, goes_down in ((iv.start, True), (iv.end, False)):
-                        if t not in transitions:
-                            transitions[t] = []
-                            boundaries.append(t)
-                        transitions[t].append(FaultTransition(domain, idx, goes_down))
-        boundaries.sort()
-        # Down-transitions first at a simultaneous boundary, then by
-        # domain (edge, cloud, link) and index — a fixed order so abort
-        # processing and event emission are deterministic.
-        rank = {d: r for r, d in enumerate(_DOMAINS)}
-        for t in boundaries:
-            transitions[t].sort(key=lambda tr: (not tr.goes_down, rank[tr.domain], tr.index))
+        offsets: list[int] = []
+        last = None
+        for pos, row in enumerate(rows):
+            if row[0] != last:
+                last = row[0]
+                boundaries.append(last)
+                offsets.append(pos)
+        offsets.append(len(rows))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_boundaries", boundaries)
-        object.__setattr__(self, "_transitions", transitions)
+        object.__setattr__(self, "_offsets", offsets)
         # Per-resource sorted interval-start lists and sorted index
-        # lists: the down-state bisects run on plain float lists (no
-        # per-probe key callable) and the composed down_at sweep skips
-        # re-sorting the mappings on every query.
+        # lists: the point queries bisect plain float lists (no
+        # per-probe key callable) and down_at skips re-sorting the
+        # mappings on every query.
         object.__setattr__(
             self,
             "_starts",
-            tuple(
-                {idx: [iv.start for iv in mapping[idx]] for idx in mapping}
-                for mapping in (self.edge_down, self.cloud_down, self.link_down)
-            ),
+            tuple({idx: [iv.start for iv in ivs] for idx, ivs in m.items()} for m in mappings),
         )
-        object.__setattr__(
-            self,
-            "_sorted_idx",
-            tuple(
-                sorted(mapping)
-                for mapping in (self.edge_down, self.cloud_down, self.link_down)
-            ),
-        )
+        object.__setattr__(self, "_sorted_idx", tuple(sorted(m) for m in mappings))
 
     # -- constructors ----------------------------------------------------------
 
@@ -245,7 +243,27 @@ class FaultTrace:
 
     def transitions_at(self, boundary: float) -> tuple[FaultTransition, ...]:
         """The transitions at an exact boundary instant (may be empty)."""
-        return tuple(self._transitions.get(boundary, ()))
+        b = self._boundaries
+        k = bisect_left(b, boundary)
+        if k == len(b) or b[k] != boundary:
+            return ()
+        return tuple(
+            FaultTransition(_DOMAINS[d], idx, not goes_up)
+            for _, goes_up, d, idx in self._rows[self._offsets[k] : self._offsets[k + 1]]
+        )
+
+    def transition_rows(self, key0: int, key1: int) -> list[tuple[float, bool, int, int]]:
+        """The table rows crossed going from interval key ``key0`` to ``key1``.
+
+        Rows are ``(time, goes_up, domain_rank, index)``, the domain rank
+        indexing ``(edge, cloud, link)``, in processing order, for every
+        boundary ``b`` with ``key0 < interval_key(b) <= key1`` (none
+        unless ``key0 < key1``).  Applied in order to the down-state of
+        key ``key0`` they give the down-state of key ``key1``.  The list
+        is a fresh copy.
+        """
+        offsets = self._offsets
+        return self._rows[offsets[key0] : offsets[key1]]
 
     def down_at(self, t: float) -> tuple[list[int], list[int], list[int]]:
         """Indices of (edge units, cloud processors, links) down at ``t``.

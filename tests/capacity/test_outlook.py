@@ -10,6 +10,7 @@ from repro.capacity.outlook import NO_DISCOUNT
 from repro.core.errors import ModelError
 from repro.core.intervals import Interval
 from repro.core.platform import Platform
+from repro.faults.model import FaultClassParams, exponential_fault_trace
 from repro.faults.trace import (
     DOMAIN_CLOUD,
     DOMAIN_EDGE,
@@ -99,6 +100,83 @@ class TestBlockedAt:
         # Past every fault boundary only the windows remain.
         assert outlook.next_boundary(6.5) == 8.0
         assert outlook.next_boundary(100.0) == math.inf
+
+
+def _touching_trace():
+    # Edge 0's two outages meet at t=2.0: it must stay down there.
+    return FaultTrace(
+        edge_down={0: (Interval(1.0, 2.0), Interval(2.0, 3.0))},
+        cloud_down={0: (Interval(2.0, 8.5),), 1: (Interval(0.5, 2.0),)},
+        link_down={2: (Interval(2.0, 2.5), Interval(2.5, 9.0))},
+    )
+
+
+def _seeded_trace(group_size):
+    params = FaultClassParams(mtbf=3.0, mttr=1.5)
+    return exponential_fault_trace(
+        n_edge=3, n_cloud=2, horizon=30.0, seed=11 + group_size,
+        edge=params, cloud=params, link=params, group_size=group_size,
+    )
+
+
+def _query_times(trace):
+    """Every fault and window boundary, the midpoints between them and
+    instants before and after them all, ascending."""
+    marks = {b for _, _, iv in trace.iter_down_intervals() for b in (iv.start, iv.end)}
+    marks |= {b for ivs in _windows().windows.values() for iv in ivs for b in (iv.start, iv.end)}
+    marks = sorted(marks)
+    mids = [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+    return sorted([marks[0] - 1.0, *marks, *mids, marks[-1] + 1.0])
+
+
+class TestBlockedAtSweep:
+    TRACES = {
+        "hand-built": _trace,
+        "touching": _touching_trace,
+        "seeded": lambda: _seeded_trace(1),
+        "seeded-groups": lambda: _seeded_trace(2),
+    }
+
+    @pytest.mark.parametrize("order", ["forward", "repeated", "backward", "shuffled"])
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_matches_down_at(self, name, order):
+        trace = self.TRACES[name]()
+        outlook = CapacityOutlook(_platform(), _windows(), trace)
+        times = _query_times(trace)
+        if order == "repeated":
+            times = [t for t in times for _ in range(2)]
+        elif order == "backward":
+            times = times[::-1]
+        elif order == "shuffled":
+            np.random.default_rng(5).shuffle(times)
+        av = _windows()
+        for t in times:
+            edges, clouds, links, busy = outlook.blocked_at(t)
+            assert (edges, clouds, links) == trace.down_at(t), t
+            assert busy == [k for k in sorted(av.windows) if not av.is_available(k, t)]
+
+    def test_touching_intervals_stay_down_at_their_shared_instant(self):
+        outlook = CapacityOutlook(_platform(), _windows(), _touching_trace())
+        assert outlook.blocked_at(1.5)[:3] == ([0], [1], [])
+        assert outlook.blocked_at(2.0)[:3] == ([0], [0], [2])
+        assert outlook.blocked_at(2.5)[:3] == ([0], [0], [2])
+        assert outlook.blocked_at(3.0)[:3] == ([], [0], [2])
+
+    def test_answers_handed_out_never_change(self):
+        outlook = CapacityOutlook(_platform(), _windows(), _touching_trace())
+        first = outlook.blocked_at(1.5)
+        copy = tuple(list(ids) for ids in first)
+        for t in (2.0, 3.0, 9.5, 0.0, 2.0):
+            outlook.blocked_at(t)
+        assert first == copy
+
+    def test_counters_unchanged_by_the_sweep(self):
+        outlook = CapacityOutlook(_platform(), _windows(), _trace())
+        # Key changes at 1.0, back at 0.2 and at 2.0; 0.1 and the
+        # second 2.0 repeat the previous key.
+        for t in (0.0, 0.1, 1.0, 0.2, 2.0, 2.0):
+            outlook.blocked_at(t)
+        assert (outlook.n_queries, outlook.n_delta_updates) == (6, 2)
 
 
 class TestDeliverableWork:

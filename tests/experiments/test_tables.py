@@ -73,6 +73,36 @@ class TestTimingTable:
         assert format_timing_table([]) == "(no data)"
 
 
+class _NoDeepCopy:
+    def __deepcopy__(self, memo):
+        raise AssertionError("as_dict deep-copied a structured payload")
+
+
+class TestAsDict:
+    def test_scalar_fields_in_order(self):
+        row = result_row()
+        assert list(row.as_dict().items()) == [
+            ("experiment", "e"),
+            ("x", 1.0),
+            ("scheduler", "srpt"),
+            ("rep", 0),
+            ("max_stretch", 2.0),
+            ("avg_stretch", 1.5),
+            ("makespan", 10.0),
+            ("wall_time", 0.01),
+            ("n_events", 12),
+            ("n_reexecutions", 0),
+            ("n_abandoned", 0),
+        ]
+
+    def test_payloads_are_not_copied(self):
+        base = result_row()
+        row = ResultRow(**{
+            **base.as_dict(), "telemetry": {"m": _NoDeepCopy()}, "trace": {"s": _NoDeepCopy()}
+        })
+        assert row.as_dict() == base.as_dict()
+
+
 class TestCsv:
     def test_header_and_rows(self):
         text = rows_to_csv([result_row(), result_row(rep=1)])

@@ -94,6 +94,87 @@ class TestFaultTraceQueries:
         assert len(listed) == 3
 
 
+def _touching_trace():
+    # Edge 0 has two intervals meeting at t=2, where cloud 1 goes down
+    # and link 0 comes back up.
+    return FaultTrace(
+        edge_down={0: (Interval(1.0, 2.0), Interval(2.0, 3.0))},
+        cloud_down={1: (Interval(2.0, 4.0),)},
+        link_down={0: (Interval(0.5, 2.0),)},
+    )
+
+
+def _table_traces():
+    params = FaultClassParams(mtbf=10.0, mttr=3.0)
+    kwargs = dict(n_edge=5, n_cloud=3, horizon=150.0, edge=params, cloud=params, link=params)
+    return [
+        exponential_fault_trace(seed=1, **kwargs),
+        exponential_fault_trace(seed=2, **kwargs),
+        exponential_fault_trace(seed=3, group_size=2, **kwargs),
+        exponential_fault_trace(seed=4, group_size=2, **kwargs),
+        _touching_trace(),
+    ]
+
+
+def _grouped_transitions(trace):
+    """Transitions by instant, rebuilt from ``iter_down_intervals``."""
+    rank = {DOMAIN_EDGE: 0, DOMAIN_CLOUD: 1, DOMAIN_LINK: 2}
+    by_time: dict[float, list[FaultTransition]] = {}
+    for domain, idx, iv in trace.iter_down_intervals():
+        by_time.setdefault(iv.start, []).append(FaultTransition(domain, idx, True))
+        by_time.setdefault(iv.end, []).append(FaultTransition(domain, idx, False))
+    return {
+        t: tuple(sorted(trs, key=lambda tr: (not tr.goes_down, rank[tr.domain], tr.index)))
+        for t, trs in by_time.items()
+    }
+
+
+class TestTransitionTable:
+    @pytest.mark.parametrize("case", range(len(_table_traces())))
+    def test_every_boundary_matches_the_interval_grouping(self, case):
+        trace = _table_traces()[case]
+        expected = _grouped_transitions(trace)
+        boundaries = sorted(expected)
+        assert trace.n_boundaries == len(boundaries)
+        assert trace.interval_key(boundaries[0] - 1.0) == 0
+        assert trace.next_boundary(boundaries[0] - 1.0) == boundaries[0]
+        for k, b in enumerate(boundaries):
+            assert trace.transitions_at(b) == expected[b]
+            nxt = boundaries[k + 1] if k + 1 < len(boundaries) else float("inf")
+            assert trace.interval_key(b) == k + 1
+            assert trace.next_boundary(b) == nxt
+            if nxt < float("inf"):
+                mid = (b + nxt) / 2
+                assert trace.transitions_at(mid) == ()
+                assert trace.interval_key(mid) == k + 1
+                assert trace.next_boundary(mid) == nxt
+
+    @pytest.mark.parametrize("case", range(len(_table_traces())))
+    def test_rows_between_keys_are_the_boundaries_crossed(self, case):
+        trace = _table_traces()[case]
+        domains = (DOMAIN_EDGE, DOMAIN_CLOUD, DOMAIN_LINK)
+        boundaries = sorted(_grouped_transitions(trace))
+        for k, b in enumerate(boundaries):
+            rows = trace.transition_rows(k, k + 1)
+            assert {t for t, *_ in rows} == {b}
+            assert tuple(
+                FaultTransition(domains[d], idx, not up) for _, up, d, idx in rows
+            ) == trace.transitions_at(b)
+            assert trace.transition_rows(k + 1, k + 1) == []
+        n_intervals = len(list(trace.iter_down_intervals()))
+        assert len(trace.transition_rows(0, trace.n_boundaries)) == 2 * n_intervals
+
+    def test_touching_intervals_go_down_before_up(self):
+        trace = _touching_trace()
+        assert trace.transitions_at(2.0) == (
+            FaultTransition(DOMAIN_EDGE, 0, True),
+            FaultTransition(DOMAIN_CLOUD, 1, True),
+            FaultTransition(DOMAIN_EDGE, 0, False),
+            FaultTransition(DOMAIN_LINK, 0, False),
+        )
+        assert trace.down_at(2.0) == ([0], [1], [])
+
+
 class TestExponentialModel:
     def test_params_validated(self):
         with pytest.raises(ModelError, match="mtbf"):

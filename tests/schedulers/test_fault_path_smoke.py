@@ -10,7 +10,9 @@ adoption under faults blows through the ceilings immediately, while
 future improvements only lower the counts.
 """
 
+from repro.capacity.outlook import CapacityOutlook
 from repro.faults.model import FaultClassParams, exponential_fault_trace
+from repro.faults.trace import FaultTrace
 from repro.schedulers.ssf_edf import SsfEdfScheduler
 from repro.sim.engine import simulate
 from repro.workloads.random_uniform import (
@@ -93,3 +95,29 @@ class TestFaultPathCounterCeilings:
         # proven there) — the decision mix must reflect that, not a
         # silently broken replay path.
         assert stats["scheduler.replays"] == 0.0
+
+
+class TestOutlookSweep:
+    def test_down_state_is_swept_not_reprobed(self, monkeypatch):
+        # The outlook follows the trace's transitions as the clock
+        # crosses boundaries; re-probing every resource with down_at on
+        # each from-scratch round is the regression this guards.
+        down_at_calls = []
+        outlooks = []
+        down_at = FaultTrace.down_at
+        init = CapacityOutlook.__init__
+
+        def counting_down_at(self, t):
+            down_at_calls.append(t)
+            return down_at(self, t)
+
+        def counting_init(self, *args, **kwargs):
+            outlooks.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultTrace, "down_at", counting_down_at)
+        monkeypatch.setattr(CapacityOutlook, "__init__", counting_init)
+        result = _pinned_run()
+        assert result.scheduler_stats["scheduler.outlook_queries"] > 0.0
+        assert outlooks
+        assert len(down_at_calls) <= len(outlooks)

@@ -112,6 +112,25 @@ class TestAbortSemantics:
         assert result.n_reexecutions == 0
 
 
+class TestTraceMustFitPlatform:
+    @pytest.mark.parametrize(
+        "domain,noun", [("edge", "edge units"), ("cloud", "cloud processors"), ("link", "access links")]
+    )
+    @pytest.mark.parametrize("policy", ["fcfs", "ssf-edf", "ssf-edf-fa"])
+    def test_unknown_resource_is_a_model_error(self, domain, noun, policy):
+        # A 2-edge, 2-cloud platform; the trace also names resource 2,
+        # one past the end.  The run must refuse it up front, not crash
+        # with an IndexError at the first fault boundary.
+        platform = Platform.create([1.0, 0.5], n_cloud=2)
+        jobs = [Job(origin=r % 2, work=1.0, release=float(r), up=0.5, dn=0.5) for r in range(4)]
+        down = {i: (Interval(0.5, 1.5),) for i in range(3)}
+        faults = FaultTrace(**{f"{domain}_down": down})
+        with pytest.raises(
+            ModelError, match=rf"fault trace names {domain}\[2\], but the platform has 2 {noun}"
+        ):
+            simulate(Instance.create(platform, jobs), make_scheduler(policy), faults=faults)
+
+
 class TestDeterminismAndIdentity:
     CASES = [(20210101, 0.5), (20210102, 2.0)]
 

@@ -1,10 +1,13 @@
 """Differential testing: event engine vs the naive quantized reference.
 
-The two simulators share no code; on random instances with the same
-fixed policy their completion times must agree within a few time
-quanta (each phase transition in the reference can lag by up to one
-quantum, and lags ripple through resource waits — the tolerance is
-scaled accordingly).
+The two simulators share no code.  Off the reference's time grid its
+completions can be off by more than a few quanta: a release a fraction
+of a quantum before another job's phase ends is rounded up to the next
+grid point, so the reference misses the preemption the model makes
+(``test_release_preempts_uplink_just_before_it_ends``).  The property
+therefore draws instances on a dyadic grid — every release, amount and
+rate a multiple or power-of-two fraction of the quantum — where every
+event falls on a grid point and the two simulators must agree exactly.
 """
 
 import numpy as np
@@ -64,6 +67,24 @@ class TestKnownCases:
         engine, ref = run_both(inst, [cloud(0), cloud(1)], [0, 1], dt=0.001)
         assert np.allclose(ref.completion, engine.completion, atol=0.05)
 
+    def test_release_preempts_uplink_just_before_it_ends(self):
+        # Job 1 outranks job 0 and is released 1/512 before job 0's
+        # uplink ends: it takes the port, job 0 sends its last 1/512
+        # after it, then waits for the cloud job 1 computes on.  A
+        # quantized reference rounds the release up past the end of job
+        # 0's uplink and gives [6.48, 5.98] at dt=0.01, so the model's
+        # completions, worked by hand, are pinned exactly.
+        platform = Platform.create([1.0], n_cloud=1)
+        jobs = [
+            Job(origin=0, work=1.0, release=2.978515625, up=1.5, dn=0.0),
+            Job(origin=0, work=1.0, release=4.4765625, up=0.5, dn=0.0),
+        ]
+        inst = Instance.create(platform, jobs)
+        engine = simulate(
+            inst, FixedPolicyScheduler([cloud(0), cloud(0)], [1, 0]), record_trace=False
+        )
+        assert engine.completion.tolist() == [6.9765625, 5.9765625]
+
 
 class TestValidation:
     def test_bad_policy_rejected(self):
@@ -81,16 +102,18 @@ class TestValidation:
             simulate_reference(inst, [edge(0)], [0], dt=0.001, max_steps=100)
 
 
+#: The property's time quantum; a power of two, so grid sums are exact.
+DT = 1 / 64
+
+
 class TestDifferentialProperty:
     @given(data=st.data())
     @settings(deadline=None, max_examples=20)
     def test_engine_matches_reference(self, data):
         n_edge = data.draw(st.integers(1, 2))
         n_cloud = data.draw(st.integers(0, 2))
-        speeds = [
-            data.draw(st.floats(min_value=0.2, max_value=1.0, allow_nan=False))
-            for _ in range(n_edge)
-        ]
+        # Edge speeds 1, 1/2, 1/4: compute times of grid work stay on the grid.
+        speeds = [data.draw(st.sampled_from([1.0, 0.5, 0.25])) for _ in range(n_edge)]
         platform = Platform.create(speeds, n_cloud=n_cloud)
         n = data.draw(st.integers(1, 4))
         jobs = []
@@ -98,8 +121,8 @@ class TestDifferentialProperty:
             jobs.append(
                 Job(
                     origin=data.draw(st.integers(0, n_edge - 1)),
-                    work=data.draw(st.floats(min_value=0.2, max_value=5.0, allow_nan=False)),
-                    release=data.draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False)),
+                    work=data.draw(st.integers(1, 320)) * DT,
+                    release=data.draw(st.integers(0, 320)) * DT,
                     up=data.draw(st.sampled_from([0.0, 0.5, 1.5])),
                     dn=data.draw(st.sampled_from([0.0, 0.5, 1.5])),
                 )
@@ -111,11 +134,8 @@ class TestDifferentialProperty:
             allocation.append(data.draw(st.sampled_from(options)))
         priority = list(data.draw(st.permutations(range(n))))
 
-        dt = 0.01
-        engine, ref = run_both(inst, allocation, priority, dt=dt)
-        # Each of <= 3 phases per job may lag a quantum, and lags ripple
-        # through waits: allow a generous linear-in-n tolerance.
-        tol = dt * (10 + 10 * n)
-        assert np.allclose(ref.completion, engine.completion, atol=tol), (
+        engine, ref = run_both(inst, allocation, priority, dt=DT)
+        # Every event lies on the grid, so the reference lags no phase.
+        assert np.allclose(ref.completion, engine.completion, rtol=0.0, atol=1e-9), (
             f"engine={engine.completion}, reference={ref.completion}"
         )
