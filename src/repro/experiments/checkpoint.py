@@ -24,26 +24,25 @@ a silently inconsistent merge.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Mapping
 
 from repro.core.errors import ModelError
 from repro.experiments.runner import ResultRow
+from repro.util.jsonl import dumps, read_jsonl
 
 #: Schema tag of cell-checkpoint files.
 CELLS_SCHEMA = "repro.cells/1"
 
 
-def _dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace (byte-stable records)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def row_to_dict(row: ResultRow) -> dict:
-    """Full dict view of a row, telemetry included (checkpoint payload)."""
-    return asdict(row)
+    """Full dict view of a row, telemetry included (checkpoint payload).
+
+    Built from the fields without copying: the dict shares the row's
+    ``telemetry`` and ``trace`` dicts, which nothing may mutate.
+    """
+    return {f.name: getattr(row, f.name) for f in fields(row)}
 
 
 def row_from_dict(data: Mapping) -> ResultRow:
@@ -85,7 +84,8 @@ class CheckpointStore:
         self.overrides = dict(overrides)
         self.fsync = bool(fsync)
         self._fh = None
-        self._valid_bytes: int | None = None
+        #: Valid-prefix length of a torn file found by load_completed.
+        self._torn_at: int | None = None
 
     # -- loading (resume) ------------------------------------------------------
 
@@ -99,32 +99,14 @@ class CheckpointStore:
         (the error names ``path:line``); a torn final line is dropped.
         """
         try:
-            with open(self.path, "rb") as fh:
-                blob = fh.read()
+            lines, self._torn_at = read_jsonl(self.path)
         except FileNotFoundError:
             return {}
-        if not blob:
-            return {}
-        if blob.endswith(b"\n"):
-            keep = blob
-        elif b"\n" in blob:
-            keep = blob[: blob.rfind(b"\n") + 1]
-        else:
-            keep = b""
-        self._valid_bytes = len(keep)
+        except ModelError as exc:
+            raise ModelError(f"corrupt checkpoint {exc}") from exc
         completed: dict[tuple[int, int], list[ResultRow]] = {}
-        for lineno, line in enumerate(keep.decode("utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, record in lines:
             where = f"corrupt checkpoint {self.path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ModelError(f"{where}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ModelError(
-                    f"{where}: expected a JSON object, got {type(record).__name__}"
-                )
             if lineno == 1:
                 self._check_header(record)
                 continue
@@ -169,7 +151,7 @@ class CheckpointStore:
         :meth:`load_completed`, truncating a torn tail first.
         """
         exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        if fresh or not exists or self._valid_bytes == 0:
+        if fresh or not exists or self._torn_at == 0:
             self._fh = open(self.path, "w", encoding="utf-8")
             header = {
                 "schema": CELLS_SCHEMA,
@@ -177,12 +159,12 @@ class CheckpointStore:
                 "experiment": self.experiment,
                 "overrides": self.overrides,
             }
-            self._fh.write(_dumps(header) + "\n")
+            self._fh.write(dumps(header) + "\n")
             self._fh.flush()
             return
-        if self._valid_bytes is not None and self._valid_bytes < os.path.getsize(self.path):
+        if self._torn_at is not None:
             with open(self.path, "r+b") as fh:
-                fh.truncate(self._valid_bytes)
+                fh.truncate(self._torn_at)
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, point: int, rep: int, rows: list[ResultRow]) -> None:
@@ -196,7 +178,7 @@ class CheckpointStore:
             "rep": rep,
             "rows": [row_to_dict(r) for r in rows],
         }
-        self._fh.write(_dumps(record) + "\n")
+        self._fh.write(dumps(record) + "\n")
         self.commit()
 
     def commit(self) -> None:

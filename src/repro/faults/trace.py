@@ -90,16 +90,6 @@ class FaultRates:
     cloud: RenewalRates | None = None
     link: RenewalRates | None = None
 
-    def for_domain(self, domain: str) -> RenewalRates | None:
-        """The rates of ``domain`` (one of the ``DOMAIN_*`` constants)."""
-        if domain == DOMAIN_EDGE:
-            return self.edge
-        if domain == DOMAIN_CLOUD:
-            return self.cloud
-        if domain == DOMAIN_LINK:
-            return self.link
-        raise ModelError(f"unknown fault domain {domain!r}")
-
 
 def _check_windows(label: str, windows: Mapping[int, tuple[Interval, ...]]) -> None:
     for idx, ivs in windows.items():

@@ -27,11 +27,11 @@ it.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from repro.core.errors import ModelError
 from repro.obs.telemetry import RunTelemetry
+from repro.util.jsonl import dumps, read_jsonl, write_jsonl
 
 #: Record-layout tag; bump together with the record vocabulary.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
@@ -88,9 +88,8 @@ def validate_record(record: object) -> dict:
     return record
 
 
-def record_to_json(record: dict) -> str:
-    """One record as canonical JSON (sorted keys, no whitespace)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: One record as canonical JSON (sorted keys, no whitespace).
+record_to_json = dumps
 
 
 def write_telemetry_jsonl(path: str, records: Iterable[dict]) -> int:
@@ -99,23 +98,18 @@ def write_telemetry_jsonl(path: str, records: Iterable[dict]) -> int:
     Every record is validated before anything is written, so a bad
     record never leaves a half-written file behind.
     """
-    records = [validate_record(r) for r in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_to_json(record) + "\n")
-    return len(records)
+    return write_jsonl(path, [validate_record(r) for r in records])
 
 
 def read_telemetry_jsonl(path: str) -> list[dict]:
     """Read and validate every record of a telemetry JSONL file.
 
     Raises :class:`ModelError` naming the first malformed line (1-based)
-    — both JSON syntax errors and schema violations.  A *torn tail* —
-    a final line missing its trailing newline that doesn't parse, the
-    signature of a killed run — is repaired (skipped) rather than
-    raised on, mirroring the experiment-checkpoint reader; use
-    :func:`read_telemetry_jsonl_report` to learn whether one was
-    dropped.
+    — non-UTF-8 bytes, JSON syntax errors and schema violations.  A
+    *torn tail* — bytes after the last newline, the signature of a
+    killed run — is never parsed and is dropped (see
+    :mod:`repro.util.jsonl`); use :func:`read_telemetry_jsonl_report`
+    to learn whether one was.
     """
     records, _dropped = read_telemetry_jsonl_report(path)
     return records
@@ -124,43 +118,19 @@ def read_telemetry_jsonl(path: str) -> list[dict]:
 def read_telemetry_jsonl_report(path: str) -> tuple[list[dict], int]:
     """Like :func:`read_telemetry_jsonl`, also reporting dropped torn lines.
 
-    Returns ``(records, n_dropped)`` where ``n_dropped`` is 1 when a
-    torn final line was repaired and 0 otherwise.  Only the *final*
-    line, and only when the file does not end with a newline, is ever
-    repaired — a malformed line anywhere else (or a complete final
-    line that fails validation) still raises, since that is corruption
-    a crash cannot explain.
+    Returns ``(records, n_dropped)`` where ``n_dropped`` is 1 when the
+    file ended in a torn line and 0 otherwise.  Only bytes after the
+    last newline are ever dropped — a malformed line anywhere else
+    still raises, since that is corruption a crash cannot explain.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    complete_tail = text.endswith("\n")
-    lines = text.split("\n")
+    lines, torn_at = read_jsonl(path)
     records: list[dict] = []
-    dropped = 0
-    last_idx = len(lines) - 1
-    for idx, line in enumerate(lines):
-        lineno = idx + 1
-        line = line.strip()
-        if not line:
-            continue
-        torn_candidate = idx == last_idx and not complete_tail
+    for lineno, record in lines:
         try:
-            record = json.loads(line)
             records.append(validate_record(record))
-        except json.JSONDecodeError as exc:
-            if torn_candidate:
-                dropped += 1
-                continue
-            raise ModelError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
         except ModelError as exc:
-            if torn_candidate:
-                # Valid JSON but schema-invalid at the tail: a cut that
-                # happens to end on a complete nested object — same
-                # repair (validate_record raised before the append).
-                dropped += 1
-                continue
             raise ModelError(f"{path}:{lineno}: {exc}") from exc
-    return records, dropped
+    return records, int(torn_at is not None)
 
 
 def merge_records(records: Sequence[dict]) -> list[dict]:

@@ -17,12 +17,12 @@ Flow::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.errors import ModelError
 from repro.obs.metrics import MetricsRegistry
+from repro.util.jsonl import dumps
 
 #: Bump when the serialized shape changes; ``from_dict`` rejects
 #: versions it does not know how to read.
@@ -90,7 +90,7 @@ class RunTelemetry:
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, no whitespace) — the byte-stable
         form the determinism tests and the JSONL sink rely on."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_dict())
 
     def merge(self, other: "RunTelemetry") -> None:
         """Fold another run's telemetry into this one in place."""

@@ -23,8 +23,8 @@ no randomness — so two identical runs produce byte-identical traces
 regardless of which process executed them (the same guarantee the
 telemetry monitors give).
 
-Exporters: :func:`write_trace_jsonl` (versioned canonical-JSON lines,
-sharing the :mod:`repro.obs.sinks` conventions) and
+Exporters: :func:`write_trace_jsonl` (versioned canonical-JSON lines
+through :mod:`repro.util.jsonl`, like the telemetry sink) and
 :func:`write_chrome_trace` (Chrome trace-event JSON, loadable in
 Perfetto / ``chrome://tracing``: jobs as one process, resources as
 another).  ``python -m repro.obs.trace_cli`` (installed as
@@ -36,16 +36,24 @@ tracing`` or the CLIs' ``--trace-out``).
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from repro.core.errors import ModelError
 from repro.sim.events import EventKind
 from repro.sim.hooks import EngineHooks, register_hook
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, Phase
+from repro.util.jsonl import read_jsonl, write_jsonl
 
 #: Trace-record layout tag; bump together with the record vocabulary.
 TRACE_SCHEMA = "repro.trace/1"
+
+#: The keys :meth:`RunTracer.payload` writes on each kind of body line
+#: (the ones ``repro-trace`` reads); :func:`read_trace_jsonl` checks them.
+_LINE_KEYS = {
+    "job": ("job", "release", "min_time", "origin", "completion", "stretch", "attempts"),
+    "decision": ("seq", "time", "n_assignments", "changed", "provenance"),
+    "event": ("event", "time", "resource"),
+}
 
 #: Phase enum → segment phase string.
 _PHASE_NAME = {
@@ -272,11 +280,6 @@ def collect_trace(hooks: Iterable[EngineHooks]) -> dict | None:
 # -- JSONL export ------------------------------------------------------------
 
 
-def _canonical(obj: dict) -> str:
-    """Canonical JSON (sorted keys, no whitespace) — byte-stable."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def validate_trace_payload(payload: object) -> dict:
     """Structural check of a trace payload; returns it (else ``ModelError``)."""
     if not isinstance(payload, dict):
@@ -318,54 +321,52 @@ def write_trace_jsonl(path: str, payload: dict) -> int:
     lines += [{"kind": "job", **job} for job in payload["jobs"]]
     lines += [{"kind": "decision", **d} for d in payload["decisions"]]
     lines += [{"kind": "event", **e} for e in payload["events"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(_canonical(line) + "\n")
-    return len(lines)
+    return write_jsonl(path, lines)
 
 
 def read_trace_jsonl(path: str) -> dict:
     """Read a trace JSONL file back into one payload dict.
 
-    Raises :class:`ModelError` naming the first malformed line.
+    Raises :class:`ModelError` naming the first malformed line, or the
+    first line that lacks a key :meth:`RunTracer.payload` writes.  A
+    trace is written whole, so a file with a torn tail (bytes after its
+    last newline) is refused rather than explained in part.
     """
+    lines, torn_at = read_jsonl(path)
+    if torn_at is not None:
+        raise ModelError(
+            f"{path}: torn trace file: bytes after offset {torn_at} are not "
+            "newline-terminated (the writer was interrupted)"
+        )
     header: dict | None = None
-    jobs: list[dict] = []
-    decisions: list[dict] = []
-    events: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ModelError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ModelError(f"{path}:{lineno}: trace record must be an object")
-            kind = record.pop("kind", None)
-            if kind == "header":
-                if record.get("schema") != TRACE_SCHEMA:
-                    raise ModelError(
-                        f"{path}:{lineno}: unknown trace schema "
-                        f"{record.get('schema')!r} (this build reads {TRACE_SCHEMA!r})"
-                    )
-                header = record
-            elif kind == "job":
-                jobs.append(record)
-            elif kind == "decision":
-                decisions.append(record)
-            elif kind == "event":
-                events.append(record)
-            else:
-                raise ModelError(f"{path}:{lineno}: unknown trace record kind {kind!r}")
+    body: list[tuple[int, str, dict]] = []
+    for lineno, record in lines:
+        kind = record.pop("kind", None)
+        if kind == "header":
+            if record.get("schema") != TRACE_SCHEMA:
+                raise ModelError(
+                    f"{path}:{lineno}: unknown trace schema "
+                    f"{record.get('schema')!r} (this build reads {TRACE_SCHEMA!r})"
+                )
+            header = record
+        elif kind in _LINE_KEYS:
+            body.append((lineno, kind, record))
+        else:
+            raise ModelError(f"{path}:{lineno}: unknown trace record kind {kind!r}")
     if header is None:
         raise ModelError(f"{path}: no trace header line")
+    # Keys are checked once the header is known, so a file without one
+    # is reported as such rather than by its first short line.
+    parts: dict[str, list[dict]] = {kind: [] for kind in _LINE_KEYS}
+    for lineno, kind, record in body:
+        for key in _LINE_KEYS[kind]:
+            if key not in record:
+                raise ModelError(f"{path}:{lineno}: trace {kind} line lacks key {key!r}")
+        parts[kind].append(record)
     payload = dict(header)
-    payload["jobs"] = sorted(jobs, key=lambda j: j["job"])
-    payload["decisions"] = sorted(decisions, key=lambda d: d["seq"])
-    payload["events"] = events
+    payload["jobs"] = sorted(parts["job"], key=lambda j: j["job"])
+    payload["decisions"] = sorted(parts["decision"], key=lambda d: d["seq"])
+    payload["events"] = parts["event"]
     return validate_trace_payload(payload)
 
 
@@ -500,10 +501,8 @@ def chrome_trace_events(payload: dict) -> list[dict]:
 def write_chrome_trace(path: str, payload: dict) -> int:
     """Write the payload as Chrome trace-event JSON; returns the event count."""
     events = chrome_trace_events(payload)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    # One canonical JSON document on one line: a one-record JSONL file.
+    write_jsonl(path, [{"traceEvents": events, "displayTimeUnit": "ms"}])
     return len(events)
 
 

@@ -47,7 +47,6 @@ import numpy as np
 from repro.sim.events import EventKind
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 from repro.sim.view import SimulationView
-from repro.util.float_cmp import DEFAULT_ABS_TOL
 
 _TOL = 1e-9
 _STAY = 1.0 - _TOL
@@ -987,16 +986,16 @@ class ReplayCache:
         self,
         view: SimulationView,
         placed: PlacementResult,
-        phantoms: tuple[list[bool], list[bool]] | None = None,
+        phantoms: tuple[list[bool], list[bool]],
     ):
         """Shadow ``placed``'s reservation schedule.
 
-        ``phantoms``, when given, carries the per-entry uplink/compute
-        phantom flags *as captured at decision time* (see
-        :class:`SsfEdfScheduler`'s lazy cache construction — by the time
-        the cache is actually needed the view's remaining amounts have
-        moved on, so the flags must be snapshotted up front).  Without
-        it the flags are computed from the view's current state.
+        ``phantoms`` carries the per-entry uplink/compute phantom flags
+        *as captured at decision time* by :class:`SsfEdfScheduler` (an
+        exhausted phase still reserves its resources for a zero-length
+        window — a phantom).  The cache is built lazily, when the view's
+        remaining amounts have moved on, so the flags cannot be derived
+        here.
         """
         instance = view.instance
         n_edge = view.platform.n_edge
@@ -1014,22 +1013,7 @@ class ReplayCache:
         self._job_tokens: dict[int, list[tuple]] = {}
         self._job_ptr: dict[int, int] = {}
         self._expected = np.zeros(instance.n_jobs, dtype=bool)
-
-        if phantoms is None:
-            # Segment amounts by the engine's own phase predicate
-            # (remaining amount > DEFAULT_ABS_TOL); an exhausted phase
-            # still reserves its resources for a zero-length window —
-            # a phantom.
-            jobs = placed.jobs
-            staying = (view.alloc_kind[jobs] == ALLOC_CLOUD) & (
-                view.alloc_index[jobs] == placed.indices
-            )
-            up_amt = np.where(staying, view.rem_up[jobs], instance.up[jobs])
-            work_amt = np.where(staying, view.rem_work[jobs], instance.work[jobs])
-            up_ph = (up_amt <= DEFAULT_ABS_TOL).tolist()
-            work_ph = (work_amt <= DEFAULT_ABS_TOL).tolist()
-        else:
-            up_ph, work_ph = phantoms
+        up_ph, work_ph = phantoms
 
         origin = instance.origin
         jobs_l = placed.jobs.tolist()

@@ -452,7 +452,6 @@ class Engine:
             if self._has_windows and abs(self.availability.next_boundary(state.now - dt) - t_next) <= _ABS_TOL:
                 events.append(availability_change(t_next))
                 state.fault_epoch += 1
-                state.dirty_resources.append(("window", -1))
 
             if self._has_faults and abs(fault_b - t_next) <= _ABS_TOL:
                 n_done += self._fault_boundary(
@@ -613,7 +612,6 @@ class Engine:
                     to_abort.setdefault(j, res)
 
         for tr in self.faults.transitions_at(boundary):
-            state.dirty_resources.append((tr.domain, tr.index))
             if tr.domain == DOMAIN_EDGE:
                 res = edge(tr.index)
                 if not tr.goes_down:

@@ -67,11 +67,6 @@ class SimState:
         #: (cross-event replay, capacity deltas) are provably stable
         #: while it is unchanged and invalidate outright across a bump.
         self.fault_epoch: int = 0
-        #: Append-only log of ``(domain, index)`` resources whose health
-        #: changed, in boundary order ("window" entries use index -1).
-        #: Consumers remember the length they have consumed — the suffix
-        #: is the dirty set since their last look.
-        self.dirty_resources: list[tuple[str, int]] = []
 
         #: Checkpoint/restart extension (:mod:`repro.sim.checkpoint`).
         #: Off by default: no watermark arrays exist and every reset

@@ -72,20 +72,3 @@ class TraceRecorder(EngineHooks):
     def build(self) -> Schedule:
         """Return the assembled schedule."""
         return self._schedule
-
-
-class NullRecorder:
-    """Drop-in no-op recorder used when tracing is disabled (big sweeps)."""
-
-    def new_attempt(self, job: int, resource: Resource) -> None:
-        """Ignore."""
-
-    def record(self, job: int, phase: Phase, start: float, end: float) -> None:
-        """Ignore."""
-
-    def complete(self, job: int, time: float) -> None:
-        """Ignore."""
-
-    def build(self) -> None:
-        """There is nothing to build."""
-        return None

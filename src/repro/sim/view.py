@@ -152,17 +152,6 @@ class SimulationView:
         """
         return self._state.fault_epoch
 
-    @property
-    def dirty_resources(self) -> list[tuple[str, int]]:
-        """Append-only ``(domain, index)`` log of health transitions.
-
-        Consumers remember the length they have consumed; the suffix
-        since then is the dirty set — the only resources whose derived
-        per-resource state (rate rows, reservation floors) can differ
-        from the cached copy.  Treat as read-only.
-        """
-        return self._state.dirty_resources
-
     def min_time(self, i: int) -> float:
         """Dedicated-system time of job ``i`` (the stretch denominator)."""
         return float(self.instance.min_time[i])

@@ -186,25 +186,54 @@ class TestCheckpointResume:
         assert row_key(resumed.rows) == row_key(full.rows)
 
     def test_partial_checkpoint_with_torn_tail(self, tmp_path):
+        # Keep the header + first cell, then a torn record: either the
+        # whole second cell without its newline or half of it.  Both are
+        # bytes after the last newline, so neither is parsed.
+        for cut in ("newline", "mid-record"):
+            path = str(tmp_path / f"cells-{cut}.jsonl")
+            full = run_named_experiment_resilient(
+                "test_res_ok", n_workers=1, checkpoint_path=path
+            )
+            with open(path) as fh:
+                lines = fh.readlines()
+            torn = lines[2][:-1] if cut == "newline" else lines[2][: len(lines[2]) // 2]
+            with open(path, "w") as fh:
+                fh.writelines(lines[:2])
+                fh.write(torn)
+            store = CheckpointStore(path, experiment="test_res_ok", overrides=_OVERRIDES)
+            assert list(store.load_completed()) == [(0, 0)], cut
+            # The tail is truncated away before the next append.
+            store.start(fresh=False)
+            store.close()
+            with open(path) as fh:
+                assert fh.read() == "".join(lines[:2]), cut
+            with open(path, "a") as fh:
+                fh.write(torn)
+            resumed = run_named_experiment_resilient(
+                "test_res_ok", n_workers=1, checkpoint_path=path, resume=True
+            )
+            assert resumed.n_from_checkpoint == 1
+            assert resumed.n_executed == 2
+            assert row_key(resumed.rows) == row_key(full.rows)
+            # The repaired file now holds every cell, cleanly terminated.
+            store = CheckpointStore(path, experiment="test_res_ok", overrides=_OVERRIDES)
+            assert len(store.load_completed()) == 3
+            with open(path) as fh:
+                assert fh.read().endswith("\n")
+
+    def test_non_utf8_line_is_a_corrupt_checkpoint(self, tmp_path):
         path = str(tmp_path / "cells.jsonl")
-        full = run_named_experiment_resilient(
-            "test_res_ok", n_workers=1, checkpoint_path=path
-        )
-        with open(path) as fh:
-            lines = fh.readlines()
-        # Keep the header + first cell, then a torn (half-written) record.
-        with open(path, "w") as fh:
-            fh.writelines(lines[:2])
-            fh.write(lines[2][: len(lines[2]) // 2])
-        resumed = run_named_experiment_resilient(
-            "test_res_ok", n_workers=1, checkpoint_path=path, resume=True
-        )
-        assert resumed.n_from_checkpoint == 1
-        assert resumed.n_executed == 2
-        assert row_key(resumed.rows) == row_key(full.rows)
-        # The repaired file now holds every cell, cleanly terminated.
+        run_named_experiment_resilient("test_res_ok", n_workers=1, checkpoint_path=path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
         store = CheckpointStore(path, experiment="test_res_ok", overrides=_OVERRIDES)
-        assert len(store.load_completed()) == 3
+        where = re.escape(f"corrupt checkpoint {path}:5: ")
+        with pytest.raises(ModelError, match=where):
+            store.load_completed()
+        with pytest.raises(ModelError, match=where):
+            run_named_experiment_resilient(
+                "test_res_ok", n_workers=1, checkpoint_path=path, resume=True
+            )
 
     def test_mismatched_header_refused(self, tmp_path):
         path = str(tmp_path / "cells.jsonl")

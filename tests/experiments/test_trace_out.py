@@ -1,8 +1,10 @@
 """Tracing through the experiments stack: rows, pools, checkpoints, CLI."""
 
+import copy
+import dataclasses
 import json
 
-from repro.experiments.checkpoint import row_from_dict, row_to_dict
+from repro.experiments.checkpoint import CheckpointStore, row_from_dict, row_to_dict
 from repro.experiments.cli import _write_traces, main
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
 from repro.experiments.parallel import run_named_experiment_resilient
@@ -50,6 +52,27 @@ class TestResultRowTrace:
         back = row_from_dict(json.loads(json.dumps(row_to_dict(row))))
         assert back == row
         assert back.trace == row.trace
+
+
+class TestCheckpointAppend:
+    def test_rows_encoded_as_before_and_left_unchanged(self, tmp_path):
+        instrument = ("tracing", "util", "queue", "jobstats", "reexec")
+        rows = run_cell(tiny_spec(), 0, 0, instrument=instrument)
+        assert all(r.telemetry and r.trace for r in rows)
+        before = copy.deepcopy([(r.telemetry, r.trace) for r in rows])
+        path = tmp_path / "cells.jsonl"
+        store = CheckpointStore(str(path), experiment="tiny", overrides={})
+        store.start(fresh=True)
+        store.append(0, 1, rows)
+        store.close()
+        _header, cell = path.read_text().splitlines()
+        # The encoding of the build that deep-copied rows via asdict.
+        canonical = dict(sort_keys=True, separators=(",", ":"))
+        encoded = [json.dumps(dataclasses.asdict(r), **canonical) for r in rows]
+        assert cell == '{"kind":"cell","point":0,"rep":1,"rows":[' + ",".join(encoded) + "]}"
+        assert [(r.telemetry, r.trace) for r in rows] == before
+        restored = CheckpointStore(str(path), experiment="tiny", overrides={}).load_completed()
+        assert restored == {(0, 1): rows}
 
 
 class TestSerialParallelIdentity:

@@ -217,6 +217,40 @@ class TestTornTail:
         assert "skipped 1 torn trailing line" in captured.err
         assert "1 torn line(s) skipped" in captured.out
 
+    @pytest.mark.parametrize("cut", ["newline", "mid-record"])
+    def test_any_unterminated_tail_is_dropped(self, tmp_path, capsys, cut):
+        # The one rule: bytes after the last newline are a torn write and
+        # are never parsed — even a complete record that only lacks its
+        # newline is dropped, with the same note.
+        path = tmp_path / "tel.jsonl"
+        first = telemetry_record(experiment="e", scheduler="a", telemetry=make_telemetry())
+        last = telemetry_record(experiment="e", scheduler="b", telemetry=make_telemetry(2))
+        write_telemetry_jsonl(str(path), [first, last])
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] if cut == "newline" else blob[:-20])
+        assert read_telemetry_jsonl_report(str(path)) == ([first], 1)
+        assert main([str(path), "--check"]) == 0
+        captured = capsys.readouterr()
+        assert f"note: {path}: skipped 1 torn trailing line" in captured.err
+        assert "1 telemetry records OK (1 torn line(s) skipped)" in captured.out
+
+
+class TestNonUtf8:
+    def test_reader_names_the_line(self, tmp_path):
+        path = tmp_path / "tel.jsonl"
+        record = telemetry_record(experiment="e", scheduler="s", telemetry=make_telemetry())
+        path.write_bytes(record_to_json(record).encode() + b"\n\xff\n")
+        with pytest.raises(ModelError, match=r"tel\.jsonl:2: not valid JSON"):
+            read_telemetry_jsonl(str(path))
+
+    def test_main_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
+        assert main([str(path), "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestCsvReport:
     def test_csv_matches_table_cells(self):

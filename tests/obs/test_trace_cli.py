@@ -122,3 +122,31 @@ class TestErrors:
         path.write_text("{nope\n")
         assert main(["critical", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summary", "critical"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ")
+        assert len(err.splitlines()) == 1
+
+    def test_torn_file(self, faulted_trace, tmp_path, capsys):
+        _, _, path = faulted_trace
+        cut = tmp_path / "cut.jsonl"
+        with open(path, "rb") as fh:
+            cut.write_bytes(fh.read()[:-5])
+        assert main(["summary", str(cut)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: torn trace file")
+
+    @pytest.mark.parametrize("command", ["summary", "critical"])
+    def test_job_line_missing_keys(self, tmp_path, capsys, command):
+        path = tmp_path / "short.jsonl"
+        path.write_text(
+            '{"kind":"header","schema":"repro.trace/1","scheduler":"s","n_jobs":1}\n'
+            '{"kind":"job","job":0}\n'
+        )
+        assert main([command, str(path)]) == 1
+        assert f"error: {path}:2: trace job line lacks key 'release'" in capsys.readouterr().err

@@ -22,6 +22,13 @@ from repro.sim.engine import simulate
 from repro.sim.hooks import make_hooks
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
+#: The keys each trace body line must carry (what ``repro-trace`` reads).
+_TRACE_LINE_KEYS = {
+    "job": ("job", "release", "min_time", "origin", "completion", "stretch", "attempts"),
+    "decision": ("seq", "time", "n_assignments", "changed", "provenance"),
+    "event": ("event", "time", "resource"),
+}
+
 
 def small_instance(n=20, seed=7, load=0.8):
     return generate_random_instance(
@@ -231,6 +238,43 @@ class TestJsonlRoundtrip:
             read_trace_jsonl(str(path))
         path.write_text('{"kind": "header", "schema": "repro.trace/99"}\n')
         with pytest.raises(ModelError, match="unknown trace schema"):
+            read_trace_jsonl(str(path))
+
+    @pytest.mark.parametrize("cut", ["newline", "mid-record"])
+    def test_torn_file_refused(self, tmp_path, cut):
+        # A trace is written whole: any bytes after the last newline —
+        # even a complete record that only lacks its newline — mean the
+        # writer was interrupted, and the file is refused.
+        _, payload = traced_run(small_instance(n=5))
+        path = tmp_path / "t.jsonl"
+        write_trace_jsonl(str(path), payload)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] if cut == "newline" else blob[:-5])
+        with pytest.raises(ModelError, match=r"t\.jsonl: torn trace file"):
+            read_trace_jsonl(str(path))
+
+    def test_non_utf8_line_names_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"kind": "header", "schema": "repro.trace/1"}\n\xff\n')
+        with pytest.raises(ModelError, match=r"t\.jsonl:2: not valid JSON"):
+            read_trace_jsonl(str(path))
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("job", k) for k in _TRACE_LINE_KEYS["job"]]
+        + [("decision", k) for k in _TRACE_LINE_KEYS["decision"]]
+        + [("event", k) for k in _TRACE_LINE_KEYS["event"]],
+    )
+    def test_line_missing_a_key_names_line_and_key(self, tmp_path, kind, key):
+        inst = small_instance(n=8, seed=13)
+        _, payload = traced_run(inst, scheduler="ssf-edf-fa", faults=renewal_faults(inst))
+        path = tmp_path / "t.jsonl"
+        write_trace_jsonl(str(path), payload)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lineno = next(n for n, line in enumerate(lines, 1) if line["kind"] == kind)
+        del lines[lineno - 1][key]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ModelError, match=rf"t\.jsonl:{lineno}: .*{kind}.*'{key}'"):
             read_trace_jsonl(str(path))
 
     def test_validate_rejects_bad_payloads(self):

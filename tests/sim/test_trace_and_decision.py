@@ -19,7 +19,7 @@ from repro.sim.events import (
     uplink_done,
 )
 from repro.sim.state import Phase
-from repro.sim.trace import NullRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 
 @pytest.fixture
@@ -115,12 +115,3 @@ class TestTraceRecorder:
         assert len(js.attempts) == 2
         assert js.attempts[0].execution.total_length() == 1.0
         assert js.attempts[1].uplink.total_length() == 1.0
-
-
-class TestNullRecorder:
-    def test_all_noops(self):
-        rec = NullRecorder()
-        rec.new_attempt(0, edge(0))
-        rec.record(0, Phase.COMPUTE, 0.0, 1.0)
-        rec.complete(0, 1.0)
-        assert rec.build() is None
