@@ -11,6 +11,11 @@ class ModelError(ReproError):
     """Invalid model data (bad job, platform, or instance parameters)."""
 
 
+class CheckpointError(ModelError):
+    """A cell checkpoint cannot be resumed: it is corrupt, or it was
+    written by a different sweep.  Raised before any cell runs."""
+
+
 class ScheduleError(ReproError):
     """A schedule violates the constraints of the edge-cloud model."""
 

@@ -18,8 +18,9 @@ File layout (one JSON object per line)::
     ...
 
 The header pins the sweep parameters; resuming with a different
-experiment or different overrides is a :class:`ModelError` rather than
-a silently inconsistent merge.
+experiment or different overrides is a
+:class:`~repro.core.errors.CheckpointError` (a :class:`ModelError`)
+rather than a silently inconsistent merge.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 from dataclasses import fields
 from typing import Mapping
 
-from repro.core.errors import ModelError
+from repro.core.errors import CheckpointError, ModelError
 from repro.experiments.runner import ResultRow
 from repro.util.jsonl import dumps, read_jsonl
 
@@ -95,15 +96,16 @@ class CheckpointStore:
         Returns ``{(point, rep): rows}``.  Missing or empty files are an
         empty dict (a resume of a sweep that never started is just a
         start).  A header that names a different experiment or different
-        overrides is a :class:`ModelError`, and so is a malformed record
-        (the error names ``path:line``); a torn final line is dropped.
+        overrides is a :class:`~repro.core.errors.CheckpointError`, and so
+        is a malformed record (the error names ``path:line``); a torn
+        final line is dropped.
         """
         try:
             lines, self._torn_at = read_jsonl(self.path)
         except FileNotFoundError:
             return {}
         except ModelError as exc:
-            raise ModelError(f"corrupt checkpoint {exc}") from exc
+            raise CheckpointError(f"corrupt checkpoint {exc}") from exc
         completed: dict[tuple[int, int], list[ResultRow]] = {}
         for lineno, record in lines:
             where = f"corrupt checkpoint {self.path}:{lineno}"
@@ -111,31 +113,31 @@ class CheckpointStore:
                 self._check_header(record)
                 continue
             if record.get("kind") != "cell":
-                raise ModelError(
+                raise CheckpointError(
                     f"{where}: expected a cell record, got kind={record.get('kind')!r}"
                 )
             try:
                 cell = (int(record["point"]), int(record["rep"]))
                 completed[cell] = [row_from_dict(d) for d in record["rows"]]
             except (KeyError, TypeError, ValueError, ModelError) as exc:
-                raise ModelError(
+                raise CheckpointError(
                     f"{where}: malformed cell record: {type(exc).__name__}: {exc}"
                 ) from exc
         return completed
 
     def _check_header(self, record: Mapping) -> None:
         if record.get("schema") != CELLS_SCHEMA or record.get("kind") != "header":
-            raise ModelError(
+            raise CheckpointError(
                 f"{self.path!r} is not a cell checkpoint (schema "
                 f"{record.get('schema')!r}, expected {CELLS_SCHEMA!r})"
             )
         if record.get("experiment") != self.experiment:
-            raise ModelError(
+            raise CheckpointError(
                 f"checkpoint {self.path!r} belongs to experiment "
                 f"{record.get('experiment')!r}, not {self.experiment!r}; refusing to mix"
             )
         if record.get("overrides") != self.overrides:
-            raise ModelError(
+            raise CheckpointError(
                 f"checkpoint {self.path!r} was written with overrides "
                 f"{record.get('overrides')!r} but this run uses {self.overrides!r}; "
                 "resume with the same --reps/--n-jobs/--seed or start fresh"

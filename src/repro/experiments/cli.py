@@ -16,6 +16,7 @@ import argparse
 import sys
 from typing import Callable
 
+from repro.core.errors import CheckpointError
 from repro.experiments import ablations, exec_time, faults_study, figures
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import aggregate, run_experiment
@@ -277,23 +278,28 @@ def main(argv: list[str] | None = None) -> int:
         if pooled:
             from repro.experiments.parallel import run_named_experiment_resilient
 
-            outcome = run_named_experiment_resilient(
-                name,
-                n_workers=args.workers,
-                n_reps=args.reps,
-                n_jobs=args.n_jobs,
-                seed=args.seed,
-                options=options,
-                instrument=instrument,
-                timeout_s=args.timeout,
-                on_error=args.on_cell_error,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                checkpoint_path=args.checkpoint,
-                resume=args.resume,
-                stats=harness_stats,
-                progress=args.progress,
-            )
+            try:
+                outcome = run_named_experiment_resilient(
+                    name,
+                    n_workers=args.workers,
+                    n_reps=args.reps,
+                    n_jobs=args.n_jobs,
+                    seed=args.seed,
+                    options=options,
+                    instrument=instrument,
+                    timeout_s=args.timeout,
+                    on_error=args.on_cell_error,
+                    max_retries=args.max_retries,
+                    retry_backoff=args.retry_backoff,
+                    checkpoint_path=args.checkpoint,
+                    resume=args.resume,
+                    stats=harness_stats,
+                    progress=args.progress,
+                )
+            except CheckpointError as exc:
+                # A refused checkpoint is bad input, not a bug: no traceback.
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             rows = outcome.rows
             if not args.quiet:
                 print(

@@ -2,9 +2,9 @@
 
 All heuristics of Section V share two ingredients:
 
-* a *slot model* for one decision round — each processor is one slot,
-  claimed job by job in the heuristic's priority order
-  (:class:`ResourceSlots`);
+* a *claim loop* for one decision round — each processor is claimed by
+  at most one live job, job by job in the heuristic's priority order
+  (:func:`claim_columns`; FCFS keeps its own fixed release-order pass);
 * a *work-conserving tail* — jobs that did not win a slot are appended
   at lower priority on their current (or origin-edge) resource, so that
   in-flight communications keep flowing whenever their ports are free
@@ -14,7 +14,7 @@ All heuristics of Section V share two ingredients:
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,55 +42,77 @@ class BaseScheduler(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class ResourceSlots:
-    """Tracks which processors are still unclaimed within one decision round."""
+#: Relative tie-break bonus for staying on the current resource: avoids
+#: restarting a job from scratch when an equivalent fresh resource ties.
+_STAY_BONUS = 1e-9
 
-    def __init__(self, view: SimulationView):
-        platform = view.platform
-        self.edge_free = np.ones(platform.n_edge, dtype=bool)
-        self.cloud_free = np.ones(platform.n_cloud, dtype=bool)
 
-    def claim(self, resource: Resource) -> None:
-        """Mark ``resource`` as taken for this round."""
-        if resource.is_edge:
-            self.edge_free[resource.index] = False
+def prefer_current(
+    view: SimulationView, live: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale the current-resource entry of each started job's row of
+    ``values`` by ``1 - _STAY_BONUS``, in place; return those rows and
+    their current columns."""
+    current = view.current_columns(live)
+    rows = np.nonzero(current >= 0)[0]
+    cols = current[rows]
+    values[rows, cols] *= 1.0 - _STAY_BONUS
+    return rows, cols
+
+
+def claim_columns(
+    values: np.ndarray,
+    origins: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[tuple[int, int]]:
+    """Claim one free processor per round until no row has a finite one.
+
+    ``values`` has the columns of :meth:`SimulationView.durations_matrix`
+    (column 0 is the edge unit ``origins[row]``); ``inf`` forbids a
+    column, and the matrix is overwritten.  Each round the row
+    minimizing ``score(best)`` (``best``, each row's cheapest free
+    value, by default) takes its cheapest free column, which closes for
+    every row, or only for rows of that origin if it is column 0.  Ties
+    go to the first row and the lowest column.  Returns the ``(row,
+    column)`` claims in order.
+    """
+    n_rows = values.shape[0]
+    claims: list[tuple[int, int]] = []
+    if n_rows == 0:
+        return claims
+    col_of = values.argmin(axis=1)
+    best = values[np.arange(n_rows), col_of]
+    while True:
+        row = int((best if score is None else score(best)).argmin())
+        if not best[row] < np.inf:
+            return claims
+        col = int(col_of[row])
+        claims.append((row, col))
+        values[row] = np.inf
+        if col == 0:
+            same = origins == origins[row]
+            values[same, 0] = np.inf
+            stale = np.nonzero(same & (col_of == 0))[0]
         else:
-            self.cloud_free[resource.index] = False
-
-    def any_free(self) -> bool:
-        """True while at least one processor is unclaimed."""
-        return bool(self.edge_free.any() or self.cloud_free.any())
-
-    def free_clouds(self) -> np.ndarray:
-        """Indices of unclaimed cloud processors."""
-        return np.nonzero(self.cloud_free)[0]
+            values[:, col] = np.inf
+            stale = np.nonzero(col_of == col)[0]
+        col_of[stale] = values[stale].argmin(axis=1)
+        best[stale] = values[stale, col_of[stale]]
 
 
-def append_leftovers(
-    decision: Decision, view: SimulationView, assigned: Iterable[int] | None = None
-) -> None:
+def append_leftovers(decision: Decision, view: SimulationView) -> None:
     """Append every live job missing from ``decision`` at lowest priority.
 
     Each leftover keeps its current allocation (so partially transferred
     or computed jobs can keep moving when ports/processors are idle); a
-    job never started is parked on its origin edge unit.  ``assigned``
-    defaults to the jobs already in ``decision``; the tail is appended
-    in one vectorized :meth:`~repro.sim.decision.Decision.add_bulk`
+    job never started is parked on its origin edge unit.  The tail is
+    appended in one vectorized :meth:`~repro.sim.decision.Decision.add_bulk`
     call, in ascending job order (as the historical scalar loop did).
     """
     live = view.live_jobs()
-    if live.size == 0:
-        return
-    if assigned is None:
-        taken = decision.jobs_array()
-    else:
-        taken = np.fromiter(assigned, dtype=np.int64)
-    if taken.size:
-        mask = np.zeros(view.instance.n_jobs, dtype=bool)
-        mask[taken] = True
-        rest = live[~mask[live]]
-    else:
-        rest = live
+    taken = np.zeros(view.instance.n_jobs, dtype=bool)
+    taken[decision.jobs_array()] = True
+    rest = live[~taken[live]]
     if rest.size == 0:
         return
     kind = view.alloc_kind[rest]

@@ -1,8 +1,8 @@
 """Cloud-Only baseline (ours): the dual of Edge-Only.
 
 Every job is delegated to the cloud; the edge units only communicate.
-Placement is SRPT-style restricted to the cloud processors.  Useful as
-the opposite extreme in the CCR sweeps: where Edge-Only wins at high
+Placement is SRPT's claim loop with the edge column forbidden.  Useful
+as the opposite extreme in the CCR sweeps: where Edge-Only wins at high
 CCR, Cloud-Only wins at very low CCR, and the paper's heuristics should
 dominate both everywhere.
 """
@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.resources import cloud
-from repro.schedulers.base import BaseScheduler
+from repro.schedulers.base import BaseScheduler, claim_columns, prefer_current
 from repro.sim.decision import Decision
 from repro.sim.state import ALLOC_CLOUD
 from repro.sim.events import Event
 from repro.sim.view import SimulationView
-
-_STAY_BONUS = 1e-9
 
 
 class CloudOnlyScheduler(BaseScheduler):
@@ -39,39 +37,17 @@ class CloudOnlyScheduler(BaseScheduler):
         if live.size == 0:
             return decision
 
-        n_cloud = view.platform.n_cloud
-        durations = np.column_stack(
-            [view.durations_cloud(live, k) for k in range(n_cloud)]
-        )
-        current = view.current_columns(live)
-        on_cloud = np.nonzero(current >= 1)[0]
-        durations[on_cloud, current[on_cloud] - 1] *= 1.0 - _STAY_BONUS
-
-        cloud_free = np.ones(n_cloud, dtype=bool)
-        unassigned = np.ones(live.size, dtype=bool)
-        assigned: list[int] = []
-
-        for _ in range(min(live.size, n_cloud)):
-            masked = np.where(cloud_free[None, :] & unassigned[:, None], durations, np.inf)
-            best = masked.min(axis=1)
-            row = int(best.argmin())
-            if not np.isfinite(best[row]):
-                break
-            k = int(masked[row].argmin())
-            decision.add(int(live[row]), cloud(k))
-            assigned.append(int(live[row]))
-            cloud_free[k] = False
-            unassigned[row] = False
+        durations = view.durations_matrix(live)
+        prefer_current(view, live, durations)
+        durations[:, 0] = np.inf
+        taken = np.zeros(live.size, dtype=bool)
+        for row, col in claim_columns(durations, view.instance.origin[live]):
+            decision.add(int(live[row]), cloud(col - 1))
+            taken[row] = True
 
         # Leftovers continue on their current cloud (ports may be free);
         # never fall back to the edge.
-        if assigned:
-            mask = np.zeros(view.instance.n_jobs, dtype=bool)
-            mask[assigned] = True
-            rest = live[~mask[live]]
-        else:
-            rest = live
-        rest = rest[view.alloc_kind[rest] == ALLOC_CLOUD]
+        rest = live[~taken & (view.alloc_kind[live] == ALLOC_CLOUD)]
         if rest.size:
             decision.add_bulk(
                 rest,

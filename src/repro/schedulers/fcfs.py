@@ -11,6 +11,9 @@ but serves the finish-time estimates from the shared discounted
 scaled by steady-state availability), like the other ``-fa`` variants —
 isolating what failure-aware *placement* buys when the priority rule
 stays failure-blind.
+
+The row order is fixed, so FCFS needs no per-claim pick and skips the
+shared claim loop: each job scans only its own row, on plain lists.
 """
 
 from __future__ import annotations
@@ -19,18 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.schedulers.base import (
-    BaseScheduler,
-    ResourceSlots,
-    append_leftovers,
-    resource_from_column,
-)
-from repro.schedulers.placement import MatrixScratch, ensure_scratch
+from repro.core.resources import cloud, edge
+from repro.schedulers.base import BaseScheduler, append_leftovers, prefer_current
 from repro.sim.decision import Decision
 from repro.sim.events import Event
 from repro.sim.view import SimulationView
-
-_STAY_BONUS = 1e-9
 
 
 class FcfsScheduler(BaseScheduler):
@@ -45,7 +41,6 @@ class FcfsScheduler(BaseScheduler):
             # CapacityOutlook; degenerates to plain fcfs when the
             # trace carries no rates.
             self.name = "fcfs-fa"
-        self._scratch: MatrixScratch | None = None
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
         decision = Decision()
@@ -53,36 +48,27 @@ class FcfsScheduler(BaseScheduler):
         if live.size == 0:
             return decision
 
-        instance = view.instance
-        order = np.lexsort((live, instance.release[live]))
-        scratch = self._scratch = ensure_scratch(self._scratch, view)
-        durations = view.durations_matrix(
-            live, out=scratch.matrix(live.size), discounted=self.failure_aware
-        )
-        current = view.current_columns(live)
-        rows = np.nonzero(current >= 0)[0]
-        durations[rows, current[rows]] *= 1.0 - _STAY_BONUS
+        durations = view.durations_matrix(live, discounted=self.failure_aware)
+        prefer_current(view, live, durations)
+        values = durations.tolist()
+        origins = view.instance.origin[live].tolist()
+        jobs = live.tolist()
+        edge_free = [True] * view.platform.n_edge
+        cloud_free = list(range(1, durations.shape[1]))
 
-        slots = ResourceSlots(view)
-        origins = instance.origin[live]
-        n_resources = view.platform.n_edge + view.platform.n_cloud
-        claimed = 0
-
-        for row in order:
-            if claimed >= n_resources:
-                break
-            available = np.empty(durations.shape[1], dtype=bool)
-            available[0] = slots.edge_free[origins[row]]
-            if durations.shape[1] > 1:
-                available[1:] = slots.cloud_free
-            if not available.any():
+        # Each job takes its cheapest free column, the lowest on ties.
+        for row in np.lexsort((live, view.instance.release[live])).tolist():
+            origin = origins[row]
+            free = [0] + cloud_free if edge_free[origin] else cloud_free
+            if not free:
                 continue
-            masked = np.where(available, durations[row], np.inf)
-            col = int(masked.argmin())
-            resource = resource_from_column(view, int(live[row]), col)
-            decision.add(int(live[row]), resource)
-            slots.claim(resource)
-            claimed += 1
+            col = min(free, key=values[row].__getitem__)
+            if col:
+                cloud_free.remove(col)
+                decision.add(jobs[row], cloud(col - 1))
+            else:
+                edge_free[origin] = False
+                decision.add(jobs[row], edge(origin))
 
         append_leftovers(decision, view)
         return decision

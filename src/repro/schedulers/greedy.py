@@ -8,8 +8,9 @@ on the resource where its stretch is minimal.  The chosen jobs form the
 high-priority prefix of the decision; remaining jobs are appended at
 lower priority so in-flight activities can use idle ports.
 
-Per-event cost is :math:`O(n(1 + P^c))` per claimed slot, matching the
-paper's analysis; the estimates are vectorized over the live jobs.
+Greedy supplies the stretch matrix and the highest-best-first row rule
+to the claim loop it shares with SRPT
+(:func:`~repro.schedulers.base.claim_columns`).
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ import numpy as np
 
 from repro.schedulers.base import (
     BaseScheduler,
-    ResourceSlots,
     append_leftovers,
+    claim_columns,
+    prefer_current,
     resource_from_column,
 )
-from repro.schedulers.placement import MatrixScratch, ensure_scratch
 from repro.sim.decision import Decision
 from repro.sim.events import Event
 from repro.sim.view import SimulationView
 
-#: Relative tie-break bonus for staying on the current resource: avoids
-#: restarting a job from scratch when an equivalent fresh resource ties.
-_STAY_BONUS = 1e-9
+
+def _highest_first(best: np.ndarray) -> np.ndarray:
+    """Claim score: the job with the highest best stretch goes first."""
+    return np.where(best < np.inf, -best, np.inf)
 
 
 class GreedyScheduler(BaseScheduler):
@@ -64,7 +66,6 @@ class GreedyScheduler(BaseScheduler):
             # rates scaled by steady-state availability).  Degenerates
             # to plain greedy when the fault trace carries no rates.
             self.name = "greedy-fa" if guarded else "greedy-unguarded-fa"
-        self._scratch: MatrixScratch | None = None
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
         decision = Decision()
@@ -72,52 +73,19 @@ class GreedyScheduler(BaseScheduler):
         if live.size == 0:
             return decision
 
-        scratch = self._scratch = ensure_scratch(self._scratch, view)
-        stretches = view.stretch_matrix(
-            live, out=scratch.matrix(live.size), discounted=self.failure_aware
-        )
-        # Prefer the current resource when stretches tie.
-        current = view.current_columns(live)
-        rows = np.nonzero(current >= 0)[0]
-        stretches[rows, current[rows]] *= 1.0 - _STAY_BONUS
+        stretches = view.stretch_matrix(live, discounted=self.failure_aware)
+        rows, cols = prefer_current(view, live, stretches)
         if self.guarded:
             # Moving must beat even the best case of staying put.
-            best_case_stay = stretches[rows, current[rows]]
+            best_case_stay = stretches[rows, cols]
             worse = stretches[rows, :] >= best_case_stay[:, None]
-            worse[np.arange(len(rows)), current[rows]] = False
+            worse[np.arange(len(rows)), cols] = False
             stretches[rows, :] = np.where(worse, np.inf, stretches[rows, :])
 
-        slots = ResourceSlots(view)
         origins = view.instance.origin[live]
-        unassigned = np.ones(live.size, dtype=bool)
-        n_resources = view.platform.n_edge + view.platform.n_cloud
-
-        available = scratch.mask(live.size)
-        masked = scratch.masked(live.size)
-        for _ in range(min(live.size, n_resources)):
-            available[:, 0] = slots.edge_free[origins]
-            if stretches.shape[1] > 1:
-                available[:, 1:] = slots.cloud_free[None, :]
-            available &= unassigned[:, None]
-
-            # Same values as np.where(available, stretches, inf), built
-            # in the per-run buffer.
-            np.copyto(masked, np.inf)
-            np.copyto(masked, stretches, where=available)
-            best = masked.min(axis=1)
-            candidates = np.isfinite(best)
-            if not candidates.any():
-                break
-
-            # The job whose best achievable stretch is highest goes first.
-            scores = np.where(candidates, best, -np.inf)
-            row = int(scores.argmax())
-            col = int(masked[row].argmin())
-            resource = resource_from_column(view, int(live[row]), col)
-
-            decision.add(int(live[row]), resource)
-            slots.claim(resource)
-            unassigned[row] = False
+        for row, col in claim_columns(stretches, origins, _highest_first):
+            job = int(live[row])
+            decision.add(job, resource_from_column(view, job, col))
 
         append_leftovers(decision, view)
         return decision

@@ -30,10 +30,6 @@ the cached decision is exact.  The cache tracks the schedule
 structurally — per-resource FIFO queues of (job, phase) segments with no
 floating-point comparisons — and invalidates on any divergence (see
 :meth:`ReplayCache.advance`).
-
-Finally, :class:`MatrixScratch` provides the per-run ``(n, 1+P)``
-buffers the matrix heuristics (Greedy/SRPT) previously re-allocated at
-every event.
 """
 
 from __future__ import annotations
@@ -1155,45 +1151,3 @@ class ReplayCache:
             candidates.append(tokens[ptr + 1])
         self._activate(candidates)
         return True
-
-
-# -- shared matrix buffers ---------------------------------------------------
-
-
-class MatrixScratch:
-    """Per-run ``(n_jobs, 1 + n_cloud)`` buffers for the matrix heuristics.
-
-    Greedy/SRPT evaluate a dense duration/stretch matrix over the live
-    jobs at every event; these buffers let them reuse one allocation
-    for the whole run (rows are sliced to the live count).
-    """
-
-    def __init__(self, n_jobs: int, n_cloud: int):
-        self.n_jobs = n_jobs
-        self.width = 1 + n_cloud
-        self._matrix = np.empty((n_jobs, self.width), dtype=np.float64)
-        self._masked = np.empty((n_jobs, self.width), dtype=np.float64)
-        self._mask = np.empty((n_jobs, self.width), dtype=bool)
-
-    def matrix(self, rows: int) -> np.ndarray:
-        """The main estimate buffer, sliced to ``rows`` live jobs."""
-        return self._matrix[:rows]
-
-    def masked(self, rows: int) -> np.ndarray:
-        """A second float buffer (masked copies in the claim loop)."""
-        return self._masked[:rows]
-
-    def mask(self, rows: int) -> np.ndarray:
-        """The boolean availability buffer."""
-        return self._mask[:rows]
-
-
-def ensure_scratch(
-    scratch: MatrixScratch | None, view: SimulationView
-) -> MatrixScratch:
-    """Return ``scratch`` if it fits this run's shape, else a fresh one."""
-    n_jobs = view.instance.n_jobs
-    width = 1 + view.platform.n_cloud
-    if scratch is None or scratch.n_jobs < n_jobs or scratch.width != width:
-        return MatrixScratch(n_jobs, view.platform.n_cloud)
-    return scratch

@@ -9,6 +9,9 @@ against the max-stretch objective.
 Re-execution comes for free: a job preempted on one resource may be
 picked for another processor where its (fresh, from-scratch) remaining
 time is the smallest — the estimates account for the lost progress.
+
+SRPT runs the shared claim loop
+(:func:`~repro.schedulers.base.claim_columns`) on the duration matrix.
 """
 
 from __future__ import annotations
@@ -19,16 +22,14 @@ import numpy as np
 
 from repro.schedulers.base import (
     BaseScheduler,
-    ResourceSlots,
     append_leftovers,
+    claim_columns,
+    prefer_current,
     resource_from_column,
 )
-from repro.schedulers.placement import MatrixScratch, ensure_scratch
 from repro.sim.decision import Decision
 from repro.sim.events import Event
 from repro.sim.view import SimulationView
-
-_STAY_BONUS = 1e-9
 
 
 class SrptScheduler(BaseScheduler):
@@ -55,7 +56,6 @@ class SrptScheduler(BaseScheduler):
             # (effective rates scaled by steady-state availability).
             # Degenerates to plain srpt when the trace carries no rates.
             self.name = "srpt-fa" if allow_restart else "srpt-norestart-fa"
-        self._scratch: MatrixScratch | None = None
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
         decision = Decision()
@@ -63,47 +63,18 @@ class SrptScheduler(BaseScheduler):
         if live.size == 0:
             return decision
 
-        scratch = self._scratch = ensure_scratch(self._scratch, view)
-        durations = view.durations_matrix(
-            live, out=scratch.matrix(live.size), discounted=self.failure_aware
-        )
-        current = view.current_columns(live)
-        rows = np.nonzero(current >= 0)[0]
-        durations[rows, current[rows]] *= 1.0 - _STAY_BONUS
+        durations = view.durations_matrix(live, discounted=self.failure_aware)
+        rows, cols = prefer_current(view, live, durations)
         if not self.allow_restart:
             # Started jobs may only run on their current resource.
-            pinned = np.ones_like(durations, dtype=bool)
-            pinned[rows, :] = False
-            pinned[rows, current[rows]] = True
-            durations = np.where(pinned, durations, np.inf)
+            stay = durations[rows, cols]
+            durations[rows, :] = np.inf
+            durations[rows, cols] = stay
 
-        slots = ResourceSlots(view)
         origins = view.instance.origin[live]
-        unassigned = np.ones(live.size, dtype=bool)
-        n_resources = view.platform.n_edge + view.platform.n_cloud
-
-        available = scratch.mask(live.size)
-        masked = scratch.masked(live.size)
-        for _ in range(min(live.size, n_resources)):
-            available[:, 0] = slots.edge_free[origins]
-            if durations.shape[1] > 1:
-                available[:, 1:] = slots.cloud_free[None, :]
-            available &= unassigned[:, None]
-
-            # Same values as np.where(available, durations, inf), built
-            # in the per-run buffer.
-            np.copyto(masked, np.inf)
-            np.copyto(masked, durations, where=available)
-            best = masked.min(axis=1)
-            row = int(best.argmin())
-            if not np.isfinite(best[row]):
-                break
-            col = int(masked[row].argmin())
-            resource = resource_from_column(view, int(live[row]), col)
-
-            decision.add(int(live[row]), resource)
-            slots.claim(resource)
-            unassigned[row] = False
+        for row, col in claim_columns(durations, origins):
+            job = int(live[row])
+            decision.add(job, resource_from_column(view, job, col))
 
         append_leftovers(decision, view)
         return decision

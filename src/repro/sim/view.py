@@ -209,38 +209,21 @@ class SimulationView:
         work = np.where(on_edge, state.rem_work[jobs], inst.work[jobs])
         return work / speeds
 
-    def durations_cloud(self, jobs: np.ndarray, k: int, *, discounted: bool = False) -> np.ndarray:
-        """Remaining durations if each job runs on cloud processor ``k``."""
-        state = self._state
-        inst = self.instance
-        speed = float(self.capacity_outlook(discounted=discounted).cloud_rates()[k])
-        on_k = (state.alloc_kind[jobs] == ALLOC_CLOUD) & (state.alloc_index[jobs] == k)
-        up = np.where(on_k, state.rem_up[jobs], inst.up[jobs])
-        work = np.where(on_k, state.rem_work[jobs], inst.work[jobs])
-        dn = np.where(on_k, state.rem_dn[jobs], inst.dn[jobs])
-        return up + work / speed + dn
-
-    def durations_matrix(
-        self, jobs: np.ndarray, out: np.ndarray | None = None, *, discounted: bool = False
-    ) -> np.ndarray:
+    def durations_matrix(self, jobs: np.ndarray, *, discounted: bool = False) -> np.ndarray:
         """Durations of shape ``(len(jobs), 1 + n_cloud)``.
 
         Column 0 is the origin-edge duration; column ``1 + k`` the
         duration on cloud processor ``k``.  Built as a single broadcast
         over the fresh (from-scratch) amounts, then patched for jobs
         whose progress survives on their current cloud — this is the
-        hot estimate of the Greedy/SRPT/FCFS inner loops.
-
-        ``out``, when given, receives the result in place (the matrix
-        heuristics pass a per-run scratch buffer to avoid the per-event
-        allocation).  The in-place formulation reorders only commutative
-        IEEE additions, so values are bit-identical either way.
+        hot estimate of the Greedy/SRPT/FCFS/Cloud-Only decisions.
+        Every call returns a fresh matrix, which the caller may
+        overwrite.
         """
         state = self._state
         inst = self.instance
         n_cloud = self.platform.n_cloud
-        if out is None:
-            out = np.empty((len(jobs), 1 + n_cloud))
+        out = np.empty((len(jobs), 1 + n_cloud))
         out[:, 0] = self.durations_edge(jobs, discounted=discounted)
         if n_cloud:
             speeds = self.capacity_outlook(discounted=discounted).cloud_rates()
@@ -274,17 +257,13 @@ class SimulationView:
         cols[on_cloud] = 1 + index[on_cloud]
         return cols
 
-    def stretch_matrix(
-        self, jobs: np.ndarray, out: np.ndarray | None = None, *, discounted: bool = False
-    ) -> np.ndarray:
+    def stretch_matrix(self, jobs: np.ndarray, *, discounted: bool = False) -> np.ndarray:
         """Estimated stretches, same shape/columns as :meth:`durations_matrix`.
 
-        Like :meth:`durations_matrix`, ``out`` makes the computation run
-        in a caller-provided buffer with bit-identical values, and
         ``discounted=True`` prices the failure-aware effective rates.
         """
         inst = self.instance
-        durations = self.durations_matrix(jobs, out=out, discounted=discounted)
+        durations = self.durations_matrix(jobs, discounted=discounted)
         durations += self.now
         durations -= inst.release[jobs][:, None]
         durations /= inst.min_time[jobs][:, None]

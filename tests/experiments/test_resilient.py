@@ -334,6 +334,38 @@ class TestCliIntegration:
         err = capsys.readouterr().err
         assert "quarantined cells" in err
 
+    @pytest.mark.parametrize(
+        "damage, resume_argv, message",
+        [
+            ("non-utf8", ["test_res_ok"], "corrupt checkpoint {path}:5: not valid JSON"),
+            ("none", ["test_res_boom"], "belongs to experiment 'test_res_ok', not 'test_res_boom'"),
+            ("none", ["test_res_ok", "--reps", "2"], "was written with overrides"),
+        ],
+        ids=["non-utf8-line", "other-experiment", "other-overrides"],
+    )
+    def test_cli_refused_checkpoint_is_one_error_line(
+        self, tmp_path, capsys, damage, resume_argv, message
+    ):
+        path = str(tmp_path / "cells.jsonl")
+        flags = ["--workers", "1", "--checkpoint", path, "--quiet"]
+        assert cli.main(["test_res_ok"] + flags) == 0
+        if damage == "non-utf8":
+            with open(path, "ab") as fh:
+                fh.write(b"\xff\n")
+        capsys.readouterr()
+        assert cli.main(resume_argv + flags + ["--resume"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ")
+        assert message.format(path=path) in err[0]
+
+    def test_cli_failing_cell_keeps_its_traceback(self, tmp_path):
+        # A cell failure is a bug report, not bad input: it still raises.
+        path = str(tmp_path / "cells.jsonl")
+        with pytest.raises(ModelError, match=r"cell \(point=0") as info:
+            cli.main(["test_res_boom", "--workers", "1", "--checkpoint", path])
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_cli_flag_validation(self):
         with pytest.raises(SystemExit):
             cli.main(["test_res_ok", "--resume"])

@@ -11,6 +11,12 @@ The ``ckpt-n100`` tag is a checkpointed, faulted run with a retry
 budget whose decisions exceed 32 entries, so it pins commit boundaries,
 abandonment and large decisions together.  It was captured from the
 engine that still stepped decisions above 32 entries on NumPy arrays.
+
+The ``faulted-n80`` cases for ``fcfs-fa``, ``greedy-fa``, ``srpt-fa``,
+``cloud-only``, ``greedy-unguarded`` and ``srpt-norestart`` pin the
+discounted estimates and the baseline and ablation variants under
+faults.  They were captured from the per-scheduler claim loops that
+:func:`~repro.schedulers.base.claim_columns` replaced.
 """
 
 from __future__ import annotations
