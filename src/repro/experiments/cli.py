@@ -23,7 +23,7 @@ from repro.experiments.runner import aggregate, run_experiment
 from repro.experiments.tables import format_series_table, format_timing_table, rows_to_csv
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
-from repro.run_options import RunOptions, add_run_options
+from repro.run_options import RunOptions, add_run_options, output_paths_ok
 
 _BUILDERS: dict[str, Callable[..., ExperimentSpec]] = {
     "fig2a": figures.fig2a,
@@ -260,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n-jobs must be non-negative")
     if args.timeout is not None and not args.timeout > 0:
         parser.error("--timeout must be positive")
+    if not output_paths_ok(args.csv, args.telemetry_out, args.checkpoint):
+        return 1
 
     names = sorted(_BUILDERS) if args.experiment == "all" else [args.experiment]
     any_quarantined = False

@@ -13,13 +13,18 @@ retry budget.  :class:`RunOptions` is their one definition:
   workers (which rebuild their spec with :meth:`RunOptions.from_overrides`)
   and pins in its checkpoint header.
 
-At import this module loads only argparse and dataclasses; the fault
+:func:`output_paths_ok` is the one check both CLIs run on their output
+file paths before any work starts.
+
+At import this module loads only standard-library modules; the fault
 model and the checkpoint policy are imported when a value needs them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -191,3 +196,18 @@ def add_run_options(parser: argparse.ArgumentParser, scope: str) -> None:
         help="graceful degradation: abandon a job after K fault-aborted "
         "attempts instead of retrying forever",
     )
+
+
+def output_paths_ok(*paths: str | None) -> bool:
+    """False, after one ``error:`` line on stderr, when an output file
+    path cannot be created: its directory is missing, or it is one."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path) or "."
+        problem = (
+            f"no such directory: {directory}" if not os.path.isdir(directory)
+            else "is a directory" if os.path.isdir(path) else None
+        )
+        if problem:
+            print(f"error: {path}: {problem}", file=sys.stderr)
+            return False
+    return True

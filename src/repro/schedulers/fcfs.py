@@ -13,17 +13,15 @@ isolating what failure-aware *placement* buys when the priority rule
 stays failure-blind.
 
 The row order is fixed, so FCFS needs no per-claim pick and skips the
-shared claim loop: each job scans only its own row, on plain lists.
+shared claim loop: each job, by release, takes the cheapest processor
+still free in its own row (:meth:`~repro.schedulers.base.Rows.best`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.resources import cloud, edge
-from repro.schedulers.base import BaseScheduler, append_leftovers, prefer_current
+from repro.schedulers.base import INF, BaseScheduler, Rows
 from repro.sim.decision import Decision
 from repro.sim.events import Event
 from repro.sim.view import SimulationView
@@ -43,32 +41,13 @@ class FcfsScheduler(BaseScheduler):
             self.name = "fcfs-fa"
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
-        decision = Decision()
-        live = view.live_jobs()
-        if live.size == 0:
-            return decision
-
-        durations = view.durations_matrix(live, discounted=self.failure_aware)
-        prefer_current(view, live, durations)
-        values = durations.tolist()
-        origins = view.instance.origin[live].tolist()
-        jobs = live.tolist()
-        edge_free = [True] * view.platform.n_edge
-        cloud_free = list(range(1, durations.shape[1]))
-
-        # Each job takes its cheapest free column, the lowest on ties.
-        for row in np.lexsort((live, view.instance.release[live])).tolist():
-            origin = origins[row]
-            free = [0] + cloud_free if edge_free[origin] else cloud_free
-            if not free:
-                continue
-            col = min(free, key=values[row].__getitem__)
-            if col:
-                cloud_free.remove(col)
-                decision.add(jobs[row], cloud(col - 1))
-            else:
-                edge_free[origin] = False
-                decision.add(jobs[row], edge(origin))
-
-        append_leftovers(decision, view)
-        return decision
+        rows = Rows(view, discounted=self.failure_aware)
+        release = view.instance.release[rows.live].tolist()
+        claims = []
+        # Each job, by (release, index), takes its cheapest free column.
+        for i in sorted(range(len(release)), key=release.__getitem__):
+            value, col = rows.best(i)
+            if value < INF:
+                rows.take(i, col)
+                claims.append((i, col))
+        return rows.decision(claims)

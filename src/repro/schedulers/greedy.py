@@ -8,32 +8,32 @@ on the resource where its stretch is minimal.  The chosen jobs form the
 high-priority prefix of the decision; remaining jobs are appended at
 lower priority so in-flight activities can use idle ports.
 
-Greedy supplies the stretch matrix and the highest-best-first row rule
-to the claim loop it shares with SRPT
-(:func:`~repro.schedulers.base.claim_columns`).
+Greedy supplies stretch rows and the highest-best-first row rule to the
+claim loop it shares with SRPT (:meth:`~repro.schedulers.base.Rows.claim`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.schedulers.base import (
-    BaseScheduler,
-    append_leftovers,
-    claim_columns,
-    prefer_current,
-    resource_from_column,
-)
+from repro.schedulers.base import INF, BaseScheduler, Rows
 from repro.sim.decision import Decision
 from repro.sim.events import Event
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, ALLOC_NONE
 from repro.sim.view import SimulationView
 
 
-def _highest_first(best: np.ndarray) -> np.ndarray:
-    """Claim score: the job with the highest best stretch goes first."""
-    return np.where(best < np.inf, -best, np.inf)
+def _forbid_moves_not_better(rows: Rows) -> None:
+    """Moving a started job must beat even the best case of staying put."""
+    for i, kind in enumerate(rows.kind):
+        if kind == ALLOC_NONE:
+            continue
+        stay = rows.edge[i] if kind == ALLOC_EDGE else rows.stay[i]
+        if kind == ALLOC_CLOUD and rows.edge[i] >= stay:
+            rows.edge[i] = INF
+        for fresh in rows.fresh:
+            if fresh[i] >= stay:
+                fresh[i] = INF
 
 
 class GreedyScheduler(BaseScheduler):
@@ -68,24 +68,7 @@ class GreedyScheduler(BaseScheduler):
             self.name = "greedy-fa" if guarded else "greedy-unguarded-fa"
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
-        decision = Decision()
-        live = view.live_jobs()
-        if live.size == 0:
-            return decision
-
-        stretches = view.stretch_matrix(live, discounted=self.failure_aware)
-        rows, cols = prefer_current(view, live, stretches)
+        rows = Rows(view, discounted=self.failure_aware, stretch=True)
         if self.guarded:
-            # Moving must beat even the best case of staying put.
-            best_case_stay = stretches[rows, cols]
-            worse = stretches[rows, :] >= best_case_stay[:, None]
-            worse[np.arange(len(rows)), cols] = False
-            stretches[rows, :] = np.where(worse, np.inf, stretches[rows, :])
-
-        origins = view.instance.origin[live]
-        for row, col in claim_columns(stretches, origins, _highest_first):
-            job = int(live[row])
-            decision.add(job, resource_from_column(view, job, col))
-
-        append_leftovers(decision, view)
-        return decision
+            _forbid_moves_not_better(rows)
+        return rows.decision(rows.claim(highest_first=True))

@@ -11,25 +11,28 @@ picked for another processor where its (fresh, from-scratch) remaining
 time is the smallest — the estimates account for the lost progress.
 
 SRPT runs the shared claim loop
-(:func:`~repro.schedulers.base.claim_columns`) on the duration matrix.
+(:meth:`~repro.schedulers.base.Rows.claim`) on duration rows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.schedulers.base import (
-    BaseScheduler,
-    append_leftovers,
-    claim_columns,
-    prefer_current,
-    resource_from_column,
-)
+from repro.schedulers.base import INF, BaseScheduler, Rows
 from repro.sim.decision import Decision
 from repro.sim.events import Event
+from repro.sim.state import ALLOC_CLOUD, ALLOC_NONE
 from repro.sim.view import SimulationView
+
+
+def _pin_started(rows: Rows) -> None:
+    """Started jobs may only run on their current resource."""
+    for i, kind in enumerate(rows.kind):
+        if kind != ALLOC_NONE:
+            for fresh in rows.fresh:
+                fresh[i] = INF
+        if kind == ALLOC_CLOUD:
+            rows.edge[i] = INF
 
 
 class SrptScheduler(BaseScheduler):
@@ -58,23 +61,7 @@ class SrptScheduler(BaseScheduler):
             self.name = "srpt-fa" if allow_restart else "srpt-norestart-fa"
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
-        decision = Decision()
-        live = view.live_jobs()
-        if live.size == 0:
-            return decision
-
-        durations = view.durations_matrix(live, discounted=self.failure_aware)
-        rows, cols = prefer_current(view, live, durations)
+        rows = Rows(view, discounted=self.failure_aware)
         if not self.allow_restart:
-            # Started jobs may only run on their current resource.
-            stay = durations[rows, cols]
-            durations[rows, :] = np.inf
-            durations[rows, cols] = stay
-
-        origins = view.instance.origin[live]
-        for row, col in claim_columns(durations, origins):
-            job = int(live[row])
-            decision.add(job, resource_from_column(view, job, col))
-
-        append_leftovers(decision, view)
-        return decision
+            _pin_started(rows)
+        return rows.decision(rows.claim())

@@ -154,10 +154,6 @@ class Decision:
                 )
         return self._arrays
 
-    def jobs_array(self) -> np.ndarray:
-        """Just the job column (priority order)."""
-        return self.as_arrays()[0]
-
     @property
     def assignments(self) -> list[Assignment]:
         """The decision as :class:`Assignment` objects (materialized on demand)."""

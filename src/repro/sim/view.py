@@ -7,8 +7,9 @@ is built on: how long would job ``i`` still take if placed on resource
 no-migration/re-execution rule — progress only counts on the job's
 current resource; any other placement restarts from scratch.
 
-Vectorized variants (``durations_*``) return arrays over a job-id vector
-and back the per-event inner loops of Greedy/SRPT/SSF-EDF.
+The vectorized variants return arrays over a job-id vector for
+SSF-EDF's placement and Edge-Only; FCFS, Greedy, SRPT and Cloud-Only
+build their per-decision rows in :class:`repro.schedulers.base.Rows`.
 """
 
 from __future__ import annotations
@@ -209,39 +210,8 @@ class SimulationView:
         work = np.where(on_edge, state.rem_work[jobs], inst.work[jobs])
         return work / speeds
 
-    def durations_matrix(self, jobs: np.ndarray, *, discounted: bool = False) -> np.ndarray:
-        """Durations of shape ``(len(jobs), 1 + n_cloud)``.
-
-        Column 0 is the origin-edge duration; column ``1 + k`` the
-        duration on cloud processor ``k``.  Built as a single broadcast
-        over the fresh (from-scratch) amounts, then patched for jobs
-        whose progress survives on their current cloud — this is the
-        hot estimate of the Greedy/SRPT/FCFS/Cloud-Only decisions.
-        Every call returns a fresh matrix, which the caller may
-        overwrite.
-        """
-        state = self._state
-        inst = self.instance
-        n_cloud = self.platform.n_cloud
-        out = np.empty((len(jobs), 1 + n_cloud))
-        out[:, 0] = self.durations_edge(jobs, discounted=discounted)
-        if n_cloud:
-            speeds = self.capacity_outlook(discounted=discounted).cloud_rates()
-            cloud_cols = out[:, 1:]
-            np.divide(inst.work[jobs][:, None], speeds[None, :], out=cloud_cols)
-            cloud_cols += inst.up[jobs][:, None]
-            cloud_cols += inst.dn[jobs][:, None]
-            on_cloud = np.nonzero(state.alloc_kind[jobs] == ALLOC_CLOUD)[0]
-            if on_cloud.size:
-                ids = jobs[on_cloud]
-                ks = state.alloc_index[ids]
-                out[on_cloud, 1 + ks] = (
-                    state.rem_up[ids] + state.rem_work[ids] / speeds[ks] + state.rem_dn[ids]
-                )
-        return out
-
     def current_columns(self, jobs: np.ndarray) -> np.ndarray:
-        """Column of each job's current allocation in :meth:`durations_matrix`.
+        """Column of each job's current allocation.
 
         0 for the origin edge unit, ``1 + k`` for cloud ``k``, and -1
         for jobs that were never assigned.  Schedulers use this to
@@ -256,15 +226,3 @@ class SimulationView:
         on_cloud = kind == ALLOC_CLOUD
         cols[on_cloud] = 1 + index[on_cloud]
         return cols
-
-    def stretch_matrix(self, jobs: np.ndarray, *, discounted: bool = False) -> np.ndarray:
-        """Estimated stretches, same shape/columns as :meth:`durations_matrix`.
-
-        ``discounted=True`` prices the failure-aware effective rates.
-        """
-        inst = self.instance
-        durations = self.durations_matrix(jobs, discounted=discounted)
-        durations += self.now
-        durations -= inst.release[jobs][:, None]
-        durations /= inst.min_time[jobs][:, None]
-        return durations

@@ -27,7 +27,7 @@ from repro.io.json_format import load_instance, save_schedule
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
 from repro.obs.telemetry import RunTelemetry, collect_telemetry
-from repro.run_options import RunOptions, add_run_options
+from repro.run_options import RunOptions, add_run_options, output_paths_ok
 from repro.schedulers.registry import (
     FAILURE_AWARE_VARIANT,
     available_schedulers,
@@ -165,6 +165,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--fault-groups requires --fault-mtbf")
         if options.checkpoint_interval == "auto":
             parser.error("--checkpoint-interval auto requires --fault-mtbf")
+
+    if not output_paths_ok(
+        args.save_schedule, args.svg_gantt, args.telemetry_out, args.trace_out, args.trace_chrome
+    ):
+        return 1
 
     policy = args.policy
     if options.failure_aware:

@@ -177,3 +177,33 @@ def test_experiments_usage_error(capsys, argv, message):
     # so a row's own --reps or --n-jobs must come after them.
     argv = ["--reps", "1", "--n-jobs", "3", "--quiet"] + argv
     assert message in _usage_error(capsys, "experiments", argv)
+
+
+#: Every output file flag of each CLI.
+OUTPUT_FLAGS = [
+    ("experiments", "--csv"),
+    ("experiments", "--telemetry-out"),
+    ("experiments", "--checkpoint"),
+    ("simulate", "--telemetry-out"),
+    ("simulate", "--trace-out"),
+    ("simulate", "--trace-chrome"),
+    ("simulate", "--save-schedule"),
+    ("simulate", "--svg-gantt"),
+]
+
+
+@pytest.mark.parametrize("which, flag", OUTPUT_FLAGS)
+def test_output_path_in_missing_directory_refused_before_any_work(
+    capsys, tmp_path, which, flag
+):
+    target = tmp_path / "missing" / "out.jsonl"
+    assert _MAIN[which](_BASE[which] + [flag, str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"error: {target}: no such directory: {target.parent}"]
+    assert out == ""
+
+
+@pytest.mark.parametrize("which", sorted(_MAIN))
+def test_output_path_naming_a_directory_refused(capsys, tmp_path, which):
+    assert _MAIN[which](_BASE[which] + ["--telemetry-out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"

@@ -11,6 +11,7 @@ from repro.core.resources import cloud, edge
 from repro.sim.availability import CloudAvailability
 from repro.sim.state import SimState
 from repro.sim.view import SimulationView
+from tests.schedulers.matrix_reference import durations_matrix, stretch_matrix
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestVectorizedEstimates:
         state.assign(0, cloud(0))
         state.rem_work[0] = 1.0
         jobs = np.array([0, 1])
-        matrix = view.durations_matrix(jobs)
+        matrix = durations_matrix(view, jobs)
         assert matrix.shape == (2, 3)
         for row, i in enumerate(jobs):
             assert matrix[row, 0] == pytest.approx(view.duration_on(int(i), edge(inst.jobs[int(i)].origin)))
@@ -79,8 +80,8 @@ class TestVectorizedEstimates:
         inst, state, view = setup
         state.now = 1.0
         jobs = np.array([0, 1])
-        sm = view.stretch_matrix(jobs)
-        dm = view.durations_matrix(jobs)
+        sm = stretch_matrix(view, jobs)
+        dm = durations_matrix(view, jobs)
         expected = (state.now + dm - inst.release[jobs][:, None]) / inst.min_time[jobs][:, None]
         assert np.allclose(sm, expected)
 
