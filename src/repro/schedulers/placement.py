@@ -172,9 +172,12 @@ class DecisionProvenance:
     ``EngineHooks.wants_decision_provenance``).  ``path`` is how the
     decision was served (``rebuild`` / ``probe_adoption`` / ``replay``);
     ``probes`` the binary-search history of a release decision;
-    ``placements`` the kernel's per-job explanation rows (chosen
-    resource, completion vs deadline, the losing edge/cloud
-    alternative); ``floors`` the failure-aware push-back report
+    ``placements`` the kernel's per-job explanation rows: the chosen
+    resource, its completion vs the deadline, the edge completion, and
+    the cheapest cloud with its completion (``cloud_index`` /
+    ``cloud_completion``).  Explain passes scan every cloud without the
+    prune, so on a platform with clouds every row names one, also when
+    the edge won; ``floors`` the failure-aware push-back report
     (resources whose reservation timelines start after ``now`` because
     the :class:`~repro.capacity.outlook.CapacityOutlook` holds them
     down or co-tenanted).
@@ -333,10 +336,10 @@ class EdfPlacementKernel:
         if self.n_cloud:
             woc = instance.work[:, None] / self.cloud_speeds[None, :]
             self._woc_l = woc.tolist()
-            # Cheapest cloud compute duration per job — the scan's prune
-            # bound (see place(): any cloud whose compute slot frees too
-            # late to beat the incumbent even at this duration is skipped
-            # without evaluating its full reservation chain).
+            # Cheapest cloud compute duration per job, an operand of the
+            # scan's prune bound (see place(): a cloud whose compute slot
+            # frees too late to beat the incumbent even at this duration
+            # ends the scan without its full reservation chain).
             self._woc_min_l = woc.min(axis=1).tolist()
         else:
             self._woc_l = [[] for _ in range(instance.n_jobs)]
@@ -564,8 +567,10 @@ class EdfPlacementKernel:
         aborts at the first missed deadline (binary-search probes only
         need the feasibility bit).  With ``explain`` the result carries
         one row per placed job recording the chosen resource, its
-        completion vs deadline, and the losing alternative's completion
-        — same arithmetic, observation only.
+        completion vs deadline, and the edge and cheapest-cloud
+        completions.  An explain pass scans every cloud instead of
+        pruning the scan, so its rows name the true cheapest cloud; its
+        placement is bitwise that of an ordinary pass.
 
         ``reuse`` is a per-decision pass cache (the caller owns its
         scope: one binary search = one dict).  The constructive pass
@@ -574,7 +579,7 @@ class EdfPlacementKernel:
         the jobs identically build bitwise the same reservations and
         completions; a cached complete pass with the same order is
         returned directly, with feasibility re-derived against this
-        probe's deadlines by the exact per-job comparison, vectorized.
+        probe's deadlines by the exact per-job comparison.
         An infeasible hit under ``short_circuit`` is truncated at the
         first miss — the same shape (and counters) a fresh
         short-circuited pass would produce.  Ignored when ``explain``
@@ -589,19 +594,19 @@ class EdfPlacementKernel:
         else:
             order = np.lexsort((live, deadlines))
             self._order_mem = (lb, db, order)
-        # Per-position miss tolerance, precomputed: the same
-        # ``dl + _TOL * (dl if dl > 1.0 else 1.0)`` IEEE expression the
-        # per-job check evaluated, elementwise.
-        dl_tol = deadlines + _TOL * np.where(deadlines > 1.0, deadlines, 1.0)
-        dlt_v = dl_tol[order]
+        # Per-position miss tolerance in EDF order: the
+        # ``dl + _TOL * (dl if dl > 1.0 else 1.0)`` IEEE expression of
+        # the per-job check.
+        dl_l = deadlines[order].tolist()
+        dlt_l = [dl + _TOL * (dl if dl > 1.0 else 1.0) for dl in dl_l]
         key = None
         if reuse is not None and not explain:
             key = order.tobytes()
             hit = reuse.get(key)
             if hit is not None:
                 self.pass_reuses += 1
-                ok = hit.completions <= dlt_v
-                feas = bool(ok.all())
+                ok = [c <= t for c, t in zip(hit.completions.tolist(), dlt_l)]
+                feas = all(ok)
                 if feas or not short_circuit:
                     if feas == hit.feasible:
                         return hit
@@ -612,7 +617,7 @@ class EdfPlacementKernel:
                         completions=hit.completions,
                         feasible=feas,
                     )
-                p = int(np.argmin(ok)) + 1
+                p = ok.index(False) + 1
                 return PlacementResult(
                     jobs=hit.jobs[:p],
                     kinds=hit.kinds[:p],
@@ -622,22 +627,20 @@ class EdfPlacementKernel:
                     complete=False,
                 )
         self.reset(now)
-        state_kind = view.current_columns(live)
 
+        # Per-job inputs gathered to O(live) lists in EDF order: the
+        # current allocation and the remaining amounts.
         live_sorted = live[order]
         live_l = live_sorted.tolist()
-        cols_l = state_kind[order].tolist()
-        dlt_l = dlt_v.tolist()
-        dl_l = deadlines[order].tolist() if explain else None
-
-        # Remaining amounts gathered to O(live) lists (position-indexed).
-        if self._link_rate != 1.0:
-            rem_up_l = (view.rem_up[live_sorted] / self._link_rate).tolist()
-            rem_dn_l = (view.rem_dn[live_sorted] / self._link_rate).tolist()
-        else:
-            rem_up_l = view.rem_up[live_sorted].tolist()
-            rem_dn_l = view.rem_dn[live_sorted].tolist()
+        kind_l = view.alloc_kind[live_sorted].tolist()
+        index_l = view.alloc_index[live_sorted].tolist()
+        rem_up_l = view.rem_up[live_sorted].tolist()
         rem_work_l = view.rem_work[live_sorted].tolist()
+        rem_dn_l = view.rem_dn[live_sorted].tolist()
+        link_rate = self._link_rate
+        if link_rate != 1.0:
+            rem_up_l = [x / link_rate for x in rem_up_l]
+            rem_dn_l = [x / link_rate for x in rem_dn_l]
 
         n_cloud = self.n_cloud
         cloud_range = range(n_cloud)
@@ -656,14 +659,17 @@ class EdfPlacementKernel:
         cloud_recv = self._cloud_recv
         cloud_send = self._cloud_send
 
-        n = len(live_l)
         kinds_l: list[int] = []
         indices_l: list[int] = []
+        completions_l: list[float] = []
         kinds_append = kinds_l.append
         indices_append = indices_l.append
-        completions = np.empty(n, dtype=np.float64)
+        completions_append = completions_l.append
         feasible = True
         explain_rows: list[dict] | None = [] if explain else None
+        # Explain passes walk every cloud, so each row's losing cloud
+        # alternative is the true cheapest one.
+        prune = not explain
         rework = self._rework
         # Compute-availability order of the cloud processors, maintained
         # under reservations.  The scan's prune bound is monotone in
@@ -680,23 +686,26 @@ class EdfPlacementKernel:
             rw_time = self._rw_time
             rw_compute = self._rw_compute
 
-        for pos, (i, col, dlt, r_up, r_wk, r_dn) in enumerate(
-            zip(live_l, cols_l, dlt_l, rem_up_l, rem_work_l, rem_dn_l)
+        for pos, (i, kind, k_cur, dlt, r_up, r_wk, r_dn) in enumerate(
+            zip(live_l, kind_l, index_l, dlt_l, rem_up_l, rem_work_l, rem_dn_l)
         ):
             o = origin_l[i]
+            on_edge = kind == ALLOC_EDGE
+            if kind != ALLOC_CLOUD:
+                k_cur = -1
 
             # Edge option (progress kept only if currently on the edge).
             # Rework pricing replaces the dedicated duration with its
             # expected duration under failures; the transparent branch
             # below is the historical arithmetic, bitwise.
             if rework:
-                if col == 0:
+                if on_edge:
                     dur = r_wk / edge_speeds_l[o]
                 else:
                     dur = edge_dur_l[i]
                 comp_edge = edge_comp[o] + rw_compute(dur, rw_edge, edge_speeds_l[o])
-                edge_score = comp_edge * _STAY if col == 0 else comp_edge
-            elif col == 0:
+                edge_score = comp_edge * _STAY if on_edge else comp_edge
+            elif on_edge:
                 comp_edge = edge_comp[o] + r_wk / edge_speeds_l[o]
                 edge_score = comp_edge * _STAY
             else:
@@ -712,7 +721,6 @@ class EdfPlacementKernel:
                 # (the reservation keeps the raw completion).  A strict
                 # `<` keeps the lowest-index winner on exact ties,
                 # matching argmin's first-minimum rule.
-                k_cur = col - 1
                 best_score = _INF
                 best_k = -1
                 best_up = best_cp = best_dn = 0.0
@@ -761,45 +769,46 @@ class EdfPlacementKernel:
                 else:
                     # ``thr`` is the score a candidate must strictly beat
                     # to change the outcome: the edge incumbent, tightened
-                    # by every cloud improvement.  A cloud whose compute
-                    # slot frees at ``cc`` cannot complete this job before
-                    # ``((cc + wmin) + dn_i)`` — the same left-to-right
-                    # IEEE-754 chain as the full evaluation below, and
+                    # by every cloud improvement.  A fresh candidate's
+                    # full evaluation below is the chain
+                    #   ue = max(es, cr) + up,  ce = max(ue, cc) + woc[k],
+                    #   de = max(ce, max(cs, er)) + dn
+                    # over the origin's send/receive reservations
+                    # ``es``/``er`` and the cloud's ``cr``/``cc``/``cs``.
+                    # Dropping ``cr`` and ``cs`` from their ``max`` and
+                    # putting the job's cheapest ``wmin`` for ``woc[k]``
+                    # gives the bound
+                    #   max(max(es + up, cc) + wmin, er) + dn,
+                    # the same chain with every operand no larger.  IEEE
                     # rounding is monotone per operation, so the bound
-                    # never exceeds the true score.  Candidates whose
-                    # bound is strictly above ``thr`` can neither win the
-                    # argmin (a strictly smaller score exists or will
-                    # survive) nor flip ``cloud_wins`` (their score is
-                    # above ``edge_score``), so skipping them preserves
-                    # the selected index, all reservations, and every tie
-                    # — placements stay bit-identical to the full scan.
+                    # never exceeds the candidate's score, and it is
+                    # nondecreasing in ``cc``.  A candidate whose bound is
+                    # strictly above ``thr`` can neither win the argmin (a
+                    # strictly smaller score exists) nor flip
+                    # ``cloud_wins`` (its score is above ``edge_score``),
+                    # so skipping it keeps the selected index, every
+                    # reservation and every tie bitwise those of the full
+                    # scan.
                     #
                     # Candidates are walked by ascending ``cc`` (the
                     # ``cc_sorted`` order), so the first failing bound
-                    # ends the scan: the bound is monotone nondecreasing
-                    # in ``cc`` per IEEE op.  Order independence of the
-                    # winner is restored by the lexicographic
-                    # ``(score, k)`` update rule, which selects the
-                    # lowest-index minimum exactly as the index-order
-                    # scan's strict ``<`` did.  The job's current cloud
-                    # is evaluated up front, unconditionally: its score
-                    # uses the remaining amounts and the stay bonus, so
-                    # the fresh-amount bound does not apply to it.
-                    #
-                    # A job not currently on a cloud first checks only
-                    # the *cheapest-slot* candidate's bound: if even the
-                    # smallest ``cc`` cannot beat the edge incumbent,
-                    # the whole scan (and its per-job gathers) is
-                    # skipped — identical to the loop breaking on its
-                    # first iteration.
-                    wmin_i = woc_min_l[i]
+                    # ends the scan.  The lexicographic ``(score, k)``
+                    # update keeps the winner independent of the walk
+                    # order: it selects the lowest-index minimum, as an
+                    # index-order scan's strict ``<`` does.  The job's
+                    # current cloud is evaluated up front, because its
+                    # score uses the remaining amounts and the stay
+                    # bonus, which the fresh-candidate bound does not
+                    # cover; the walk only skips it.
+                    es_o = edge_send[o]
+                    er_o = edge_recv[o]
+                    up_i = up_l[i]
                     dn_i = dn_l[i]
+                    wmin_i = woc_min_l[i]
+                    woc_i = woc_l[i]
+                    ue_lo = es_o + up_i
                     thr = edge_score
                     if k_cur >= 0:
-                        es_o = edge_send[o]
-                        er_o = edge_recv[o]
-                        up_i = up_l[i]
-                        woc_i = woc_l[i]
                         cc = cloud_comp[k_cur]
                         cr = cloud_recv[k_cur]
                         cs = cloud_send[k_cur]
@@ -807,59 +816,34 @@ class EdfPlacementKernel:
                         ce = (ue if ue > cc else cc) + r_wk / cloud_speeds_l[k_cur]
                         m = cs if cs > er_o else er_o
                         de = (ce if ce > m else m) + r_dn
-                        score = de * _STAY
-                        best_score = score
+                        best_score = de * _STAY
                         best_k = k_cur
                         best_up = ue
                         best_cp = ce
                         best_dn = de
-                        if score < thr:
-                            thr = score
-                        for cc, k in cc_sorted:
-                            if (cc + wmin_i) + dn_i > thr:
-                                break
-                            if k == k_cur:
-                                continue
-                            cr = cloud_recv[k]
-                            cs = cloud_send[k]
-                            ue = (es_o if es_o > cr else cr) + up_i
-                            ce = (ue if ue > cc else cc) + woc_i[k]
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + dn_i
-                            score = de
-                            if score < best_score or (score == best_score and k < best_k):
-                                best_score = score
-                                best_k = k
-                                best_up = ue
-                                best_cp = ce
-                                best_dn = de
-                                if score < thr:
-                                    thr = score
-                        cloud_wins = best_score < edge_score
-                    elif (cc_sorted[0][0] + wmin_i) + dn_i <= thr:
-                        es_o = edge_send[o]
-                        er_o = edge_recv[o]
-                        up_i = up_l[i]
-                        woc_i = woc_l[i]
-                        for cc, k in cc_sorted:
-                            if (cc + wmin_i) + dn_i > thr:
-                                break
-                            cr = cloud_recv[k]
-                            cs = cloud_send[k]
-                            ue = (es_o if es_o > cr else cr) + up_i
-                            ce = (ue if ue > cc else cc) + woc_i[k]
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + dn_i
-                            score = de
-                            if score < best_score or (score == best_score and k < best_k):
-                                best_score = score
-                                best_k = k
-                                best_up = ue
-                                best_cp = ce
-                                best_dn = de
-                                if score < thr:
-                                    thr = score
-                        cloud_wins = best_score < edge_score
+                        if best_score < thr:
+                            thr = best_score
+                    for cc, k in cc_sorted:
+                        lo = (cc if cc > ue_lo else ue_lo) + wmin_i
+                        if prune and (lo if lo > er_o else er_o) + dn_i > thr:
+                            break
+                        if k == k_cur:
+                            continue
+                        cr = cloud_recv[k]
+                        cs = cloud_send[k]
+                        ue = (es_o if es_o > cr else cr) + up_i
+                        ce = (ue if ue > cc else cc) + woc_i[k]
+                        m = cs if cs > er_o else er_o
+                        de = (ce if ce > m else m) + dn_i
+                        if de < best_score or (de == best_score and k < best_k):
+                            best_score = de
+                            best_k = k
+                            best_up = ue
+                            best_cp = ce
+                            best_dn = de
+                            if de < thr:
+                                thr = de
+                    cloud_wins = best_score < edge_score
 
             if cloud_wins:
                 best_time = best_dn
@@ -884,7 +868,7 @@ class EdfPlacementKernel:
                 kinds_append(ALLOC_EDGE)
                 indices_append(o)
 
-            completions[pos] = best_time
+            completions_append(best_time)
             missed = best_time > dlt
             if explain_rows is not None:
                 explain_rows.append(
@@ -908,7 +892,7 @@ class EdfPlacementKernel:
                         jobs=live_sorted[:placed],
                         kinds=np.array(kinds_l, dtype=np.int8),
                         indices=np.array(indices_l, dtype=np.int64),
-                        completions=completions[:placed],
+                        completions=np.array(completions_l, dtype=np.float64),
                         feasible=False,
                         complete=False,
                         explain=explain_rows,
@@ -918,7 +902,7 @@ class EdfPlacementKernel:
             jobs=live_sorted,
             kinds=np.array(kinds_l, dtype=np.int8),
             indices=np.array(indices_l, dtype=np.int64),
-            completions=completions,
+            completions=np.array(completions_l, dtype=np.float64),
             feasible=feasible,
             explain=explain_rows,
         )

@@ -146,6 +146,23 @@ class TestDecisionProvenance:
                 assert row["kind"] in ("edge", "cloud")
                 assert row["completion"] > 0.0
 
+    @pytest.mark.parametrize("scheduler", ["ssf-edf", "ssf-edf-fa"])
+    def test_every_placement_row_names_a_cloud(self, scheduler):
+        # Explain passes scan every cloud, so each row's losing
+        # alternative is a real cloud completing after the decision,
+        # never a skipped scan's -1 at t=0.
+        inst = small_instance(n=25, seed=13)
+        _, payload = traced_run(inst, scheduler=scheduler, faults=renewal_faults(inst))
+        rows = [
+            (d["time"], row)
+            for d in payload["decisions"]
+            for row in d["provenance"]["placements"] or []
+        ]
+        assert rows
+        for time, row in rows:
+            assert 0 <= row["cloud_index"] < inst.platform.n_cloud, row
+            assert row["cloud_completion"] > time, row
+
     def test_floor_reports_only_in_failure_aware_mode(self):
         inst = small_instance(n=25, seed=13)
         _, plain = traced_run(inst, scheduler="ssf-edf")
