@@ -7,9 +7,10 @@ is built on: how long would job ``i`` still take if placed on resource
 no-migration/re-execution rule — progress only counts on the job's
 current resource; any other placement restarts from scratch.
 
-The vectorized variants return arrays over a job-id vector for
-SSF-EDF's placement and Edge-Only; FCFS, Greedy, SRPT and Cloud-Only
-build their per-decision rows in :class:`repro.schedulers.base.Rows`.
+The vectorized variant returns an array over a job-id vector for
+Edge-Only; FCFS, Greedy, SRPT and Cloud-Only build their per-decision
+rows in :class:`repro.schedulers.base.Rows`, and SSF-EDF's placement
+gathers its per-job lists from the state arrays directly.
 """
 
 from __future__ import annotations
@@ -209,20 +210,3 @@ class SimulationView:
         on_edge = state.alloc_kind[jobs] == ALLOC_EDGE
         work = np.where(on_edge, state.rem_work[jobs], inst.work[jobs])
         return work / speeds
-
-    def current_columns(self, jobs: np.ndarray) -> np.ndarray:
-        """Column of each job's current allocation.
-
-        0 for the origin edge unit, ``1 + k`` for cloud ``k``, and -1
-        for jobs that were never assigned.  Schedulers use this to
-        prefer the current resource on ties (avoiding gratuitous
-        re-executions).
-        """
-        state = self._state
-        kind = state.alloc_kind[jobs]
-        index = state.alloc_index[jobs]
-        cols = np.full(len(jobs), -1, dtype=np.int64)
-        cols[kind == ALLOC_EDGE] = 0
-        on_cloud = kind == ALLOC_CLOUD
-        cols[on_cloud] = 1 + index[on_cloud]
-        return cols

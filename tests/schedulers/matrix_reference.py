@@ -65,12 +65,27 @@ def stretch_matrix(
     return durations
 
 
+def current_columns(view: SimulationView, jobs: np.ndarray) -> np.ndarray:
+    """Column of each job's current allocation.
+
+    0 for the origin edge unit, ``1 + k`` for cloud ``k``, and -1 for
+    jobs that were never assigned.
+    """
+    kind = view.alloc_kind[jobs]
+    index = view.alloc_index[jobs]
+    cols = np.full(len(jobs), -1, dtype=np.int64)
+    cols[kind == ALLOC_EDGE] = 0
+    on_cloud = kind == ALLOC_CLOUD
+    cols[on_cloud] = 1 + index[on_cloud]
+    return cols
+
+
 def prefer_current(
     view: SimulationView, live: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scale each started job's current entry by ``1 - _STAY_BONUS`` in
     place; return those rows and their current columns."""
-    current = view.current_columns(live)
+    current = current_columns(view, live)
     rows = np.nonzero(current >= 0)[0]
     cols = current[rows]
     values[rows, cols] *= 1.0 - _STAY_BONUS

@@ -11,7 +11,11 @@ from repro.core.resources import cloud, edge
 from repro.sim.availability import CloudAvailability
 from repro.sim.state import SimState
 from repro.sim.view import SimulationView
-from tests.schedulers.matrix_reference import durations_matrix, stretch_matrix
+from tests.schedulers.matrix_reference import (
+    current_columns,
+    durations_matrix,
+    stretch_matrix,
+)
 
 
 @pytest.fixture
@@ -88,10 +92,10 @@ class TestVectorizedEstimates:
     def test_current_columns(self, setup):
         _, state, view = setup
         jobs = np.array([0, 1])
-        assert view.current_columns(jobs).tolist() == [-1, -1]
+        assert current_columns(view, jobs).tolist() == [-1, -1]
         state.assign(0, edge(0))
         state.assign(1, cloud(1))
-        assert view.current_columns(jobs).tolist() == [0, 2]
+        assert current_columns(view, jobs).tolist() == [0, 2]
 
     def test_live_jobs_forwarded(self, setup):
         _, state, view = setup
