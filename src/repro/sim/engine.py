@@ -343,8 +343,8 @@ class Engine:
                 cb(now, decision)
 
             jobs, kinds, indices = decision.as_arrays()
-            self._apply(state, hooks, jobs, kinds, indices, decision)
             jobs_l, kinds_l, indices_l = jobs.tolist(), kinds.tolist(), indices.tolist()
+            self._apply(state, hooks, jobs, kinds, indices, jobs_l, kinds_l, indices_l)
             acts_l = kernel.request_kinds(jobs_l, kinds_l)
             jobs_active, acts_active, rates_active = self._activate(
                 jobs_l, kinds_l, indices_l, acts_l, now
@@ -473,25 +473,28 @@ class Engine:
         jobs: np.ndarray,
         kinds: np.ndarray,
         indices: np.ndarray,
-        decision: Decision,
+        jobs_l: list[int],
+        kinds_l: list[int],
+        indices_l: list[int],
     ) -> None:
         """Validate and apply the decision's (re-)assignments (vectorized).
 
-        The happy path validates all entries with a handful of array
-        reductions and applies them via
+        The decision comes both as arrays and as the same entries in
+        plain lists.  The happy path validates all entries with a
+        handful of array reductions and applies them via
         :meth:`~repro.sim.state.SimState.assign_many`; any invalid entry
-        falls back to the scalar sweep, which raises the precise
-        historical :class:`DecisionError` for the *first* offending
-        entry (after applying the valid prefix, as the scalar engine
-        always did).
+        falls back to the scalar sweep over the lists, which raises the
+        precise historical :class:`DecisionError` for the *first*
+        offending entry (after applying the valid prefix, as the scalar
+        engine always did).
         """
-        if not jobs.size:
+        if not jobs_l:
             return
         instance = self.instance
-        if jobs.size <= 32:
+        if len(jobs_l) <= 32:
             # Scalar sweep beats numpy dispatch overhead on small decisions
             # (and reports errors identically on either path).
-            self._apply_slow(state, hooks, decision)
+            self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
             return
         if ((jobs >= 0) & (jobs < instance.n_jobs)).all():
             edge_mask = kinds == ALLOC_EDGE
@@ -514,9 +517,16 @@ class Engine:
                         for cb in hooks.assign:
                             cb(job, res, now)
                 return
-        self._apply_slow(state, hooks, decision)
+        self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
 
-    def _apply_slow(self, state: SimState, hooks: HookSet, decision: Decision) -> None:
+    def _apply_slow(
+        self,
+        state: SimState,
+        hooks: HookSet,
+        jobs_l: list[int],
+        kinds_l: list[int],
+        indices_l: list[int],
+    ) -> None:
         """Scalar validation/application sweep (exact error reporting)."""
         instance = self.instance
         n_jobs = instance.n_jobs
@@ -529,8 +539,7 @@ class Engine:
         now = state.now
         deadline = now + _ABS_TOL
         has_assign = hooks.has_assign
-        jobs, kinds, indices = decision.as_arrays()
-        for i, kind, idx in zip(jobs.tolist(), kinds.tolist(), indices.tolist()):
+        for i, kind, idx in zip(jobs_l, kinds_l, indices_l):
             if not 0 <= i < n_jobs:
                 raise DecisionError(f"no such job: {i}")
             if done[i]:
