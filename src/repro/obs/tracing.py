@@ -126,10 +126,9 @@ class RunTracer(EngineHooks):
 
     def on_decision(self, now: float, decision) -> None:
         """Record the decision: changed placements + provenance, if any."""
-        jobs, kinds, indices = decision.as_arrays()
         alloc = self._alloc
         changed = []
-        for j, k, i in zip(jobs.tolist(), kinds.tolist(), indices.tolist()):
+        for j, k, i in zip(*decision.as_lists()):
             if alloc.get(j) != (k, i):
                 changed.append(
                     {

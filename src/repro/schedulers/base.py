@@ -70,10 +70,11 @@ class Rows:
         inst = view.instance
         outlook = view.capacity_outlook(discounted=discounted)
         self.live = live = view.live_jobs()
-        self.jobs = live.tolist()
+        self.jobs = jobs = live.tolist()
         self.origin = origin = inst.origin[live].tolist()
-        self.kind = kind = view.alloc_kind[live].tolist()
-        self.index = index = view.alloc_index[live].tolist()
+        alloc_kind, alloc_index = view.alloc_kind, view.alloc_index
+        self.kind = kind = [alloc_kind[j] for j in jobs]
+        self.index = index = [alloc_index[j] for j in jobs]
         self.rate = rates = outlook.cloud_rates().tolist()
         #: Free clouds of each rate group, ascending, keyed by the rate.
         self.groups = {r: [k for k, x in enumerate(rates) if x == r] for r in dict.fromkeys(rates)}
@@ -84,15 +85,14 @@ class Rows:
         edge_rates = outlook.edge_rates().tolist()
         work = inst.work[live].tolist()
         up, dn = inst.up[live].tolist(), inst.dn[live].tolist()
-        r_work = view.rem_work[live].tolist()
-        r_up, r_dn = view.rem_up[live].tolist(), view.rem_dn[live].tolist()
+        r_up, r_work, r_dn = view.rem_up, view.rem_work, view.rem_dn
         edge = [
-            (rw if kd == ALLOC_EDGE else w) / edge_rates[o]
-            for o, kd, w, rw in zip(origin, kind, work, r_work)
+            (r_work[j] if kd == ALLOC_EDGE else w) / edge_rates[o]
+            for j, o, kd, w in zip(jobs, origin, kind, work)
         ]
         stay = [
-            ru + rw / rates[k] + rd if kd == ALLOC_CLOUD else INF
-            for kd, k, ru, rw, rd in zip(kind, index, r_up, r_work, r_dn)
+            r_up[j] + r_work[j] / rates[k] + r_dn[j] if kd == ALLOC_CLOUD else INF
+            for j, kd, k in zip(jobs, kind, index)
         ]
         fresh = [[w / r + u + d for w, u, d in zip(work, up, dn)] for r in self.groups]
         if stretch:

@@ -628,19 +628,17 @@ class EdfPlacementKernel:
                 )
         self.reset(now)
 
-        # Per-job inputs gathered to O(live) lists in EDF order: the
-        # current allocation and the remaining amounts.
         live_sorted = live[order]
         live_l = live_sorted.tolist()
-        kind_l = view.alloc_kind[live_sorted].tolist()
-        index_l = view.alloc_index[live_sorted].tolist()
-        rem_up_l = view.rem_up[live_sorted].tolist()
-        rem_work_l = view.rem_work[live_sorted].tolist()
-        rem_dn_l = view.rem_dn[live_sorted].tolist()
+        # The state's per-job lists: the current allocation and the
+        # remaining amounts, read per job in the loop below.  Transfer
+        # amounts are divided by the link rate (exact when it is 1.0).
+        alloc_kind = view.alloc_kind
+        alloc_index = view.alloc_index
+        rem_up = view.rem_up
+        rem_work = view.rem_work
+        rem_dn = view.rem_dn
         link_rate = self._link_rate
-        if link_rate != 1.0:
-            rem_up_l = [x / link_rate for x in rem_up_l]
-            rem_dn_l = [x / link_rate for x in rem_dn_l]
 
         n_cloud = self.n_cloud
         cloud_range = range(n_cloud)
@@ -686,13 +684,11 @@ class EdfPlacementKernel:
             rw_time = self._rw_time
             rw_compute = self._rw_compute
 
-        for pos, (i, kind, k_cur, dlt, r_up, r_wk, r_dn) in enumerate(
-            zip(live_l, kind_l, index_l, dlt_l, rem_up_l, rem_work_l, rem_dn_l)
-        ):
+        for pos, (i, dlt) in enumerate(zip(live_l, dlt_l)):
             o = origin_l[i]
+            kind = alloc_kind[i]
             on_edge = kind == ALLOC_EDGE
-            if kind != ALLOC_CLOUD:
-                k_cur = -1
+            k_cur = alloc_index[i] if kind == ALLOC_CLOUD else -1
 
             # Edge option (progress kept only if currently on the edge).
             # Rework pricing replaces the dedicated duration with its
@@ -700,13 +696,13 @@ class EdfPlacementKernel:
             # below is the historical arithmetic, bitwise.
             if rework:
                 if on_edge:
-                    dur = r_wk / edge_speeds_l[o]
+                    dur = rem_work[i] / edge_speeds_l[o]
                 else:
                     dur = edge_dur_l[i]
                 comp_edge = edge_comp[o] + rw_compute(dur, rw_edge, edge_speeds_l[o])
                 edge_score = comp_edge * _STAY if on_edge else comp_edge
             elif on_edge:
-                comp_edge = edge_comp[o] + r_wk / edge_speeds_l[o]
+                comp_edge = edge_comp[o] + rem_work[i] / edge_speeds_l[o]
                 edge_score = comp_edge * _STAY
             else:
                 comp_edge = edge_comp[o] + edge_dur_l[i]
@@ -735,15 +731,15 @@ class EdfPlacementKernel:
                     # committed); compute priced per processor below.
                     up_x = rw_time(up_i, rw_link)
                     dn_x = rw_time(dn_i, rw_link)
-                    rup_x = rw_time(r_up, rw_link)
-                    rdn_x = rw_time(r_dn, rw_link)
+                    rup_x = rw_time(rem_up[i] / link_rate, rw_link)
+                    rdn_x = rw_time(rem_dn[i] / link_rate, rw_link)
                     for k in cloud_range:
                         cr = cloud_recv[k]
                         cc = cloud_comp[k]
                         cs = cloud_send[k]
                         if k == k_cur:
                             w = rw_compute(
-                                r_wk / cloud_speeds_l[k],
+                                rem_work[i] / cloud_speeds_l[k],
                                 rw_cloud,
                                 cloud_speeds_l[k],
                             )
@@ -812,10 +808,10 @@ class EdfPlacementKernel:
                         cc = cloud_comp[k_cur]
                         cr = cloud_recv[k_cur]
                         cs = cloud_send[k_cur]
-                        ue = (es_o if es_o > cr else cr) + r_up
-                        ce = (ue if ue > cc else cc) + r_wk / cloud_speeds_l[k_cur]
+                        ue = (es_o if es_o > cr else cr) + rem_up[i] / link_rate
+                        ce = (ue if ue > cc else cc) + rem_work[i] / cloud_speeds_l[k_cur]
                         m = cs if cs > er_o else er_o
-                        de = (ce if ce > m else m) + r_dn
+                        de = (ce if ce > m else m) + rem_dn[i] / link_rate
                         best_score = de * _STAY
                         best_k = k_cur
                         best_up = ue
@@ -992,7 +988,8 @@ class ReplayCache:
         self._heads = [0] * n_queues
         self._job_tokens: dict[int, list[tuple]] = {}
         self._job_ptr: dict[int, int] = {}
-        self._expected = np.zeros(instance.n_jobs, dtype=bool)
+        #: Jobs whose current segment is running (real, at every head).
+        self._expected: set[int] = set()
         up_ph, work_ph = phantoms
 
         origin = instance.origin
@@ -1055,7 +1052,7 @@ class ReplayCache:
             if not self._is_active(token):
                 continue
             if not token[3]:
-                self._expected[token[0]] = True
+                self._expected.add(token[0])
                 continue
             # Phantom: a zero-length reservation completes the moment
             # it can start; its successors become candidates.
@@ -1073,17 +1070,17 @@ class ReplayCache:
             if ptr < len(tokens):
                 stack.append(tokens[ptr])
 
-    def check_progress(self, changed_live: np.ndarray, live: np.ndarray) -> bool:
+    def check_progress(self, changed: set[int]) -> bool:
         """Did exactly the scheduled segments progress over the last step?
 
-        ``changed_live`` is the boolean mask (aligned with ``live``) of
-        jobs whose remaining amounts changed since the cache's last
-        snapshot.  Exactness: a changed job progressed on its cached
-        phase at its cached rate (phase and resource are fixed by the
-        cached assignment), and all active jobs share the engine's
+        ``changed`` holds the live jobs whose remaining amounts changed
+        since the cache's last snapshot; the cached placement covers
+        the same live set.  Exactness: a changed job progressed on its
+        cached phase at its cached rate (phase and resource are fixed by
+        the cached assignment), and all active jobs share the engine's
         ``dt`` — so set equality implies amount equality.
         """
-        return bool(np.array_equal(changed_live, self._expected[live]))
+        return changed == self._expected
 
     def advance(self, events) -> bool:
         """Consume the step's completion events; False on any divergence."""
@@ -1124,7 +1121,7 @@ class ReplayCache:
         for q in qs:
             heads[q] += 1
         self._job_ptr[job] = ptr + 1
-        self._expected[job] = False
+        self._expected.discard(job)
         candidates = []
         for q in qs:
             h = heads[q]

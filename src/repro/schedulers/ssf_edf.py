@@ -155,9 +155,10 @@ class SsfEdfScheduler(BaseScheduler):
         self._cache_live_bytes = b""
         self._cache_epoch = -1
         self._cache_fault_epoch = -1
-        self._snap_up: np.ndarray | None = None
-        self._snap_work: np.ndarray | None = None
-        self._snap_dn: np.ndarray | None = None
+        self._fresh: tuple[list[float], list[float], list[float]] = ([], [], [])
+        self._snap_up: list[float] = []
+        self._snap_work: list[float] = []
+        self._snap_dn: list[float] = []
         # Decision provenance is opt-in (the engine forwards the request
         # of provenance-collecting hooks via set_provenance); off, the
         # hot path does no explanation bookkeeping at all.
@@ -218,9 +219,9 @@ class SsfEdfScheduler(BaseScheduler):
         self._cache_live_bytes = b""
         self._cache_epoch = -1
         self._cache_fault_epoch = -1
-        self._snap_up = np.empty(n, dtype=np.float64)
-        self._snap_work = np.empty(n, dtype=np.float64)
-        self._snap_dn = np.empty(n, dtype=np.float64)
+        instance = view.instance
+        self._fresh = (instance.up.tolist(), instance.work.tolist(), instance.dn.tolist())
+        self._snap_up, self._snap_work, self._snap_dn = [], [], []
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
         decision = Decision()
@@ -388,9 +389,7 @@ class SsfEdfScheduler(BaseScheduler):
             if cache is None:
                 placed_c, up_ph, work_ph = self._cache_seed
                 cache = self._cache = ReplayCache(view, placed_c, phantoms=(up_ph, work_ph))
-            if cache.check_progress(self._changed_mask(view, live), live) and cache.advance(
-                events
-            ):
+            if cache.check_progress(self._changed_jobs(view, live)) and cache.advance(events):
                 self._snapshot(view)
                 stats.replays += 1
                 if self._provenance:
@@ -416,20 +415,21 @@ class SsfEdfScheduler(BaseScheduler):
             floors=self._kernel.floor_report(now),
         )
 
-    def _changed_mask(self, view: SimulationView, live: np.ndarray) -> np.ndarray:
-        """Which live jobs' remaining amounts changed since the snapshot."""
-        changed = (
-            (view.rem_up != self._snap_up)
-            | (view.rem_work != self._snap_work)
-            | (view.rem_dn != self._snap_dn)
-        )
-        return changed[live]
+    def _changed_jobs(self, view: SimulationView, live: np.ndarray) -> set[int]:
+        """The live jobs whose remaining amounts changed since the snapshot."""
+        up, work, dn = view.rem_up, view.rem_work, view.rem_dn
+        snap_up, snap_work, snap_dn = self._snap_up, self._snap_work, self._snap_dn
+        return {
+            j
+            for j in live.tolist()
+            if up[j] != snap_up[j] or work[j] != snap_work[j] or dn[j] != snap_dn[j]
+        }
 
     def _snapshot(self, view: SimulationView) -> None:
         """Record the remaining amounts the next progress check diffs against."""
-        np.copyto(self._snap_up, view.rem_up)
-        np.copyto(self._snap_work, view.rem_work)
-        np.copyto(self._snap_dn, view.rem_dn)
+        self._snap_up = view.rem_up.copy()
+        self._snap_work = view.rem_work.copy()
+        self._snap_dn = view.rem_dn.copy()
 
     def _establish_cache(
         self, view: SimulationView, live: np.ndarray, placed: PlacementResult
@@ -437,42 +437,46 @@ class SsfEdfScheduler(BaseScheduler):
         """Cache ``placed`` for replay at subsequent non-release events."""
         if not self._replay_enabled:
             return
-        moved = (view.alloc_kind[placed.jobs] != placed.kinds) | (
-            view.alloc_index[placed.jobs] != placed.indices
-        )
         # Defer ReplayCache construction to the first non-release event
         # that passes the cheap guards; only the phantom flags must be
         # captured now, while the remaining amounts still describe this
-        # decision (see ReplayCache).  ``staying`` below means "cloud
-        # entry whose attempt survives": placed on a cloud and not
-        # moved.
-        jobs = placed.jobs
-        instance = view.instance
-        staying = ~moved & (placed.kinds == ALLOC_CLOUD)
-        up_amt = np.where(staying, view.rem_up[jobs], instance.up[jobs])
-        work_amt = np.where(staying, view.rem_work[jobs], instance.work[jobs])
+        # decision (see ReplayCache).  An entry *moves* when its
+        # resource differs from the current allocation; a cloud entry
+        # that does not move keeps its attempt's remaining amounts, and
+        # every other entry starts from the fresh ones.
+        alloc_kind, alloc_index = view.alloc_kind, view.alloc_index
+        rem_up, rem_work = view.rem_up, view.rem_work
+        up0, work0, dn0 = self._fresh
+        moved: list[int] = []
+        up_ph: list[bool] = []
+        work_ph: list[bool] = []
+        for j, kind, idx in zip(
+            placed.jobs.tolist(), placed.kinds.tolist(), placed.indices.tolist()
+        ):
+            if alloc_kind[j] != kind or alloc_index[j] != idx:
+                moved.append(j)
+                stays = False
+            else:
+                stays = kind == ALLOC_CLOUD
+            up_ph.append((rem_up[j] if stays else up0[j]) <= DEFAULT_ABS_TOL)
+            work_ph.append((rem_work[j] if stays else work0[j]) <= DEFAULT_ABS_TOL)
         self._cache = None
-        self._cache_seed = (
-            placed,
-            (up_amt <= DEFAULT_ABS_TOL).tolist(),
-            (work_amt <= DEFAULT_ABS_TOL).tolist(),
-        )
+        self._cache_seed = (placed, up_ph, work_ph)
         self._cache_placed = placed
         self._cache_live_bytes = live.tobytes()
         # The engine bumps the remaining-amount epoch once per entry
         # whose resource differs from the current allocation; predict
         # the post-application value so our own assignment doesn't
         # invalidate the cache (a fault abort still will).
-        self._cache_epoch = view.rem_epoch + int(np.count_nonzero(moved))
+        self._cache_epoch = view.rem_epoch + len(moved)
         self._cache_fault_epoch = view.fault_epoch
         # Snapshot the post-application amounts: moved jobs restart
         # from scratch the instant the decision is applied.
         self._snapshot(view)
-        if moved.any():
-            ids = placed.jobs[moved]
-            self._snap_up[ids] = instance.up[ids]
-            self._snap_work[ids] = instance.work[ids]
-            self._snap_dn[ids] = instance.dn[ids]
+        for j in moved:
+            self._snap_up[j] = up0[j]
+            self._snap_work[j] = work0[j]
+            self._snap_dn[j] = dn0[j]
 
 
 def _edf_placement(

@@ -5,10 +5,10 @@ Layered sim-core: the :mod:`~repro.sim.engine` clock loop composes the
 :mod:`~repro.sim.kernel` (progress arithmetic over the active set) and
 the :mod:`~repro.sim.hooks` observer protocol (all instrumentation).
 Schedulers talk to the engine through :class:`Decision` (what to run,
-in priority order) and :class:`SimulationView` (read-only state).  One
-step runs on plain lists at every decision size; only the validation
-of decisions above 32 entries uses NumPy array checks.  See
-``docs/ENGINE.md`` for the architecture tour.
+in priority order) and :class:`SimulationView` (read-only state).  The
+per-job state is plain lists of Python scalars, and one step runs on
+plain lists at every decision size.  See ``docs/ENGINE.md`` for the
+architecture tour.
 """
 
 from repro.sim.availability import (

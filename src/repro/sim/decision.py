@@ -14,13 +14,14 @@ Semantics of an assignment:
 * a live job *not listed* in the decision keeps its allocation and
   progress but is suspended (preempted) until a later decision lists it.
 
-Storage is columnar: a decision holds parallel (job, kind, index)
-columns rather than per-assignment objects, because the engine consumes
-decisions as NumPy arrays (:meth:`Decision.as_arrays`) and schedulers
-append the work-conserving tail of a decision in one vectorized call
-(:meth:`Decision.add_bulk`).  :class:`Assignment` objects are
-materialized only on demand (iteration, ``assignments``) for
-inspection and tests.
+Storage is columnar: a decision holds three parallel plain lists (job,
+kind, index) rather than per-assignment objects.  Schedulers append
+entries one at a time (:meth:`Decision.add`) or in bulk
+(:meth:`Decision.add_bulk`, which converts a NumPy column once with
+``tolist()``), and the engine reads the lists themselves
+(:meth:`Decision.as_lists`).  NumPy arrays (:meth:`Decision.as_arrays`)
+and :class:`Assignment` objects (iteration, ``assignments``) are built
+only on demand, for inspection, hooks and tests.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.errors import DecisionError
 from repro.core.resources import Resource, ResourceKind, cloud, edge
-from repro.sim.state import ALLOC_EDGE
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 
 
 @dataclass(frozen=True)
@@ -43,32 +44,15 @@ class Assignment:
     resource: Resource
 
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_I8 = np.empty(0, dtype=np.int8)
-
-
 class Decision:
     """An ordered list of assignments (earlier = higher priority)."""
 
-    __slots__ = (
-        "_jobs",
-        "_kinds",
-        "_indices",
-        "_segments",
-        "_length",
-        "_arrays",
-        "provenance",
-    )
+    __slots__ = ("_jobs", "_kinds", "_indices", "provenance")
 
     def __init__(self, assignments: Iterable[Assignment] | None = None):
-        #: Scalar-append staging columns (flushed into ``_segments``).
         self._jobs: list[int] = []
         self._kinds: list[int] = []
         self._indices: list[int] = []
-        #: Flushed columnar pieces, each ``(jobs, kinds, indices)`` arrays.
-        self._segments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._length = 0
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: Optional structured explanation attached by the scheduler when
         #: provenance-collecting hooks are registered (duck-typed: any
         #: object with ``to_dict()``); None on ordinary runs.
@@ -87,11 +71,9 @@ class Decision:
 
     def add(self, job: int, resource: Resource) -> None:
         """Append an assignment with the lowest priority so far."""
-        self._jobs.append(job)
-        self._kinds.append(0 if resource.kind is ResourceKind.EDGE else 1)
-        self._indices.append(resource.index)
-        self._length += 1
-        self._arrays = None
+        self._jobs.append(int(job))
+        self._kinds.append(ALLOC_EDGE if resource.kind is ResourceKind.EDGE else ALLOC_CLOUD)
+        self._indices.append(int(resource.index))
 
     def add_bulk(
         self,
@@ -102,57 +84,27 @@ class Decision:
         """Append many assignments at once, preserving their order.
 
         ``kinds`` uses the :mod:`repro.sim.state` allocation codes
-        (``ALLOC_EDGE`` / ``ALLOC_CLOUD``).  This is the vectorized
-        counterpart of repeated :meth:`add` calls — schedulers use it
-        for the work-conserving leftover tail.
+        (``ALLOC_EDGE`` / ``ALLOC_CLOUD``).  A NumPy column is converted
+        once with ``tolist()``; any other sequence must hold Python ints
+        and is appended as it is.
         """
-        jobs = np.asarray(jobs, dtype=np.int64)
-        if jobs.size == 0:
-            return
-        self._flush_pending()
-        self._segments.append(
-            (
-                jobs,
-                np.asarray(kinds, dtype=np.int8),
-                np.asarray(indices, dtype=np.int64),
-            )
-        )
-        self._length += jobs.size
-        self._arrays = None
+        for column, values in ((self._jobs, jobs), (self._kinds, kinds), (self._indices, indices)):
+            column.extend(values.tolist() if isinstance(values, np.ndarray) else values)
 
-    def _flush_pending(self) -> None:
-        """Move the scalar-append staging columns into a segment."""
-        if self._jobs:
-            self._segments.append(
-                (
-                    np.array(self._jobs, dtype=np.int64),
-                    np.array(self._kinds, dtype=np.int8),
-                    np.array(self._indices, dtype=np.int64),
-                )
-            )
-            self._jobs, self._kinds, self._indices = [], [], []
+    def as_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """The decision's own ``(jobs, kinds, indices)`` lists; callers
+        must not modify them."""
+        return self._jobs, self._kinds, self._indices
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The decision as parallel ``(jobs, kinds, indices)`` arrays.
-
-        ``kinds`` holds the allocation codes of :mod:`repro.sim.state`.
-        The arrays are cached until the next mutation; callers must not
-        modify them.
-        """
-        if self._arrays is None:
-            self._flush_pending()
-            segs = self._segments
-            if not segs:
-                self._arrays = (_EMPTY_I64, _EMPTY_I8, _EMPTY_I64)
-            elif len(segs) == 1:
-                self._arrays = segs[0]
-            else:
-                self._arrays = (
-                    np.concatenate([s[0] for s in segs]),
-                    np.concatenate([s[1] for s in segs]),
-                    np.concatenate([s[2] for s in segs]),
-                )
-        return self._arrays
+        """The decision as new parallel ``(jobs, kinds, indices)`` arrays
+        (int64, int8, int64); ``kinds`` holds the allocation codes of
+        :mod:`repro.sim.state`."""
+        return (
+            np.array(self._jobs, dtype=np.int64),
+            np.array(self._kinds, dtype=np.int8),
+            np.array(self._indices, dtype=np.int64),
+        )
 
     @property
     def assignments(self) -> list[Assignment]:
@@ -161,35 +113,26 @@ class Decision:
 
     def check_well_formed(self) -> None:
         """Raise :class:`DecisionError` on duplicate jobs."""
-        jobs = self.as_arrays()[0]
-        if not jobs.size:
-            return
-        if jobs.size > 256:
-            if np.unique(jobs).size == jobs.size:
-                return
         seen: set[int] = set()
-        for j in jobs.tolist():
+        for j in self._jobs:
             if j in seen:
                 raise DecisionError(f"job {j} assigned twice in one decision")
             seen.add(j)
 
     def __iter__(self) -> Iterator[Assignment]:
-        jobs, kinds, indices = self.as_arrays()
-        for j, k, i in zip(jobs.tolist(), kinds.tolist(), indices.tolist()):
+        for j, k, i in zip(self._jobs, self._kinds, self._indices):
             yield Assignment(j, edge(i) if k == ALLOC_EDGE else cloud(i))
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._jobs)
 
     def __bool__(self) -> bool:
-        return self._length > 0
+        return bool(self._jobs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decision):
             return NotImplemented
-        a = self.as_arrays()
-        b = other.as_arrays()
-        return all(np.array_equal(x, y) for x, y in zip(a, b))
+        return self.as_lists() == other.as_lists()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Decision({self.assignments!r})"

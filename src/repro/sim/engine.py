@@ -38,6 +38,7 @@ One step of the main loop:
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -263,6 +264,7 @@ class Engine:
         platform = instance.platform
         self.ledger = ResourceLedger(platform)
         self._origin_l = instance.origin.tolist()
+        self._release_l = instance.release.tolist()
         self._edge_speeds_l = [float(s) for s in platform.edge_speeds]
         self._cloud_speeds_l = [float(s) for s in platform.cloud_speeds]
 
@@ -302,15 +304,15 @@ class Engine:
         if n == 0:
             return self._result(state, t0=t0)
 
-        release_times = instance.release
-        release_order = np.argsort(release_times, kind="stable")
+        release_times = self._release_l
+        release_order = np.argsort(instance.release, kind="stable").tolist()
         next_rel = 0
 
         # Jump to the first release.
-        state.now = float(release_times[release_order[0]])
+        state.now = release_times[release_order[0]]
         events: list[Event] = []
         while next_rel < n and release_times[release_order[next_rel]] <= state.now + _ABS_TOL:
-            events.append(release(state.now, int(release_order[next_rel])))
+            events.append(release(state.now, release_order[next_rel]))
             next_rel += 1
 
         self.scheduler.start(view)
@@ -337,28 +339,28 @@ class Engine:
                 )
 
             decision = self.scheduler.decide(view, events)
-            decision.check_well_formed()
+            jobs_l, kinds_l, indices_l = decision.as_lists()
+            if len(set(jobs_l)) != len(jobs_l):
+                decision.check_well_formed()  # raises, naming the duplicate
             now = state.now
             for cb in hooks.decision:
                 cb(now, decision)
 
-            jobs, kinds, indices = decision.as_arrays()
-            jobs_l, kinds_l, indices_l = jobs.tolist(), kinds.tolist(), indices.tolist()
-            self._apply(state, hooks, jobs, kinds, indices, jobs_l, kinds_l, indices_l)
+            self._apply(state, hooks, jobs_l, kinds_l, indices_l)
             acts_l = kernel.request_kinds(jobs_l, kinds_l)
             jobs_active, acts_active, rates_active = self._activate(
                 jobs_l, kinds_l, indices_l, acts_l, now
             )
 
-            # Earliest next event.  The kernel's distances are NumPy
-            # scalars; the clock must stay a Python float, or every
-            # later float operation (placement included) pays NumPy
+            # Earliest next event.  Every operand is a Python float, so
+            # the clock stays one: a NumPy-scalar clock would make every
+            # later float operation, placement included, pay NumPy
             # scalar overhead.
             dt = float("inf")
             if jobs_active:
-                dt = float(min(kernel.time_to_completion(jobs_active, acts_active, rates_active)))
+                dt = min(kernel.time_to_completion(jobs_active, acts_active, rates_active))
             if next_rel < n:
-                dt = min(dt, float(release_times[release_order[next_rel]]) - state.now)
+                dt = min(dt, release_times[release_order[next_rel]] - state.now)
             if self._has_windows:
                 dt = min(dt, self.availability.next_boundary(state.now) - state.now)
             fault_b = float("inf")
@@ -372,7 +374,7 @@ class Engine:
                 )
                 dt = min(dt, ckpt_b - state.now)
 
-            if not np.isfinite(dt):
+            if not math.isfinite(dt):
                 raise SimulationError(
                     f"deadlock at t={state.now}: no activity can run, no future event, "
                     f"but {n - n_done} jobs are unfinished (scheduler "
@@ -409,7 +411,7 @@ class Engine:
                     ):
                         # The staged input is durable at the boundary; the
                         # commit overhead rides the compute phase.
-                        state.ckpt_up[i] = float(state.rem_up[i])
+                        state.ckpt_up[i] = state.rem_up[i]
                         cost = self.checkpoint.commit_cost
                         if cost > 0.0:
                             state.rem_work[i] += cost
@@ -446,7 +448,7 @@ class Engine:
             state.now = t_next
 
             while next_rel < n and release_times[release_order[next_rel]] <= t_next + _ABS_TOL:
-                events.append(release(t_next, int(release_order[next_rel])))
+                events.append(release(t_next, release_order[next_rel]))
                 next_rel += 1
 
             if self._has_windows and abs(self.availability.next_boundary(state.now - dt) - t_next) <= _ABS_TOL:
@@ -470,68 +472,22 @@ class Engine:
         self,
         state: SimState,
         hooks: HookSet,
-        jobs: np.ndarray,
-        kinds: np.ndarray,
-        indices: np.ndarray,
         jobs_l: list[int],
         kinds_l: list[int],
         indices_l: list[int],
     ) -> None:
-        """Validate and apply the decision's (re-)assignments (vectorized).
+        """Validate and apply the decision's (re-)assignments in order.
 
-        The decision comes both as arrays and as the same entries in
-        plain lists.  The happy path validates all entries with a
-        handful of array reductions and applies them via
-        :meth:`~repro.sim.state.SimState.assign_many`; any invalid entry
-        falls back to the scalar sweep over the lists, which raises the
-        precise historical :class:`DecisionError` for the *first*
-        offending entry (after applying the valid prefix, as the scalar
-        engine always did).
+        An entry whose resource differs from the job's current
+        allocation opens a new attempt
+        (:meth:`~repro.sim.state.SimState.start_attempt`).  The first
+        invalid entry raises its :class:`DecisionError` after the valid
+        prefix was applied.
         """
-        if not jobs_l:
-            return
-        instance = self.instance
-        if len(jobs_l) <= 32:
-            # Scalar sweep beats numpy dispatch overhead on small decisions
-            # (and reports errors identically on either path).
-            self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
-            return
-        if ((jobs >= 0) & (jobs < instance.n_jobs)).all():
-            edge_mask = kinds == ALLOC_EDGE
-            cloud_mask = kinds == ALLOC_CLOUD
-            cloud_idx = indices[cloud_mask]
-            if (
-                (edge_mask | cloud_mask).all()
-                and not state.done[jobs].any()
-                and not (instance.release[jobs] > state.now + _ABS_TOL).any()
-                and not (indices[edge_mask] != instance.origin[jobs[edge_mask]]).any()
-                and ((cloud_idx >= 0) & (cloud_idx < instance.platform.n_cloud)).all()
-            ):
-                changed = state.assign_many(jobs, kinds, indices)
-                if hooks.has_assign and changed.any():
-                    now = state.now
-                    for pos in np.nonzero(changed)[0].tolist():
-                        idx = int(indices[pos])
-                        res = edge(idx) if kinds[pos] == ALLOC_EDGE else cloud(idx)
-                        job = int(jobs[pos])
-                        for cb in hooks.assign:
-                            cb(job, res, now)
-                return
-        self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
-
-    def _apply_slow(
-        self,
-        state: SimState,
-        hooks: HookSet,
-        jobs_l: list[int],
-        kinds_l: list[int],
-        indices_l: list[int],
-    ) -> None:
-        """Scalar validation/application sweep (exact error reporting)."""
         instance = self.instance
         n_jobs = instance.n_jobs
         n_cloud = instance.platform.n_cloud
-        release_times = instance.release
+        release_times = self._release_l
         origin = self._origin_l
         done = state.done
         alloc_kind = state.alloc_kind
@@ -561,18 +517,7 @@ class Engine:
             elif not 0 <= idx < n_cloud:
                 raise DecisionError(f"no such cloud processor: cloud[{idx}]")
             if alloc_kind[i] != kind or alloc_index[i] != idx:
-                alloc_kind[i] = kind
-                alloc_index[i] = idx
-                if state.checkpointing:
-                    state.rem_up[i] = state.ckpt_up[i]
-                    state.rem_work[i] = state.ckpt_work[i]
-                    state.ckpt_pending[i] = False
-                else:
-                    state.rem_up[i] = instance.up[i]
-                    state.rem_work[i] = instance.work[i]
-                state.rem_dn[i] = instance.dn[i]
-                state.attempts[i] += 1
-                state.rem_epoch += 1
+                state.start_attempt(i, kind, idx)
                 if has_assign:
                     res = edge(idx) if kind == ALLOC_EDGE else cloud(idx)
                     for cb in hooks.assign:
@@ -613,7 +558,17 @@ class Engine:
             for j, a, c in zip(jobs_active, acts_active, completed)
             if not c and not state.done[j]
         ]
+        # Every allocated, unfinished job is live: it was released
+        # before a decision could place it.
+        live = state.live_jobs().tolist()
+        alloc_kind = state.alloc_kind
+        alloc_index = state.alloc_index
         to_abort: dict[int, object] = {}  # job -> resource whose fault killed it
+
+        def _abort_allocated(kind: int, index: int, res) -> None:
+            for j in live:
+                if alloc_kind[j] == kind and alloc_index[j] == index:
+                    to_abort.setdefault(j, res)
 
         def _abort_transfers(unit: int, res) -> None:
             for j, act in inflight:
@@ -627,13 +582,7 @@ class Engine:
                     events.append(resource_up(t_next, res))
                     continue
                 events.append(resource_down(t_next, res))
-                ids = np.nonzero(
-                    (state.alloc_kind == ALLOC_EDGE)
-                    & (state.alloc_index == tr.index)
-                    & ~state.done
-                )[0]
-                for i in ids.tolist():
-                    to_abort.setdefault(int(i), res)
+                _abort_allocated(ALLOC_EDGE, tr.index, res)
                 # The unit's ports die with it: in-flight transfers of
                 # jobs originating here are lost too.
                 _abort_transfers(tr.index, res)
@@ -645,13 +594,7 @@ class Engine:
                 events.append(resource_down(t_next, res))
                 # Data staged on the processor is lost with it: every
                 # attempt allocated here aborts, whatever its phase.
-                ids = np.nonzero(
-                    (state.alloc_kind == ALLOC_CLOUD)
-                    & (state.alloc_index == tr.index)
-                    & ~state.done
-                )[0]
-                for i in ids.tolist():
-                    to_abort.setdefault(int(i), res)
+                _abort_allocated(ALLOC_CLOUD, tr.index, res)
             else:  # DOMAIN_LINK
                 res = edge(tr.index)
                 if not tr.goes_down:
@@ -675,7 +618,7 @@ class Engine:
                     # Graceful degradation: the job leaves the system
                     # uncompleted (completion stays NaN) instead of
                     # retrying without bound.
-                    state.done[i] = True
+                    state.abandon(i)
                     events.append(job_abandoned(t_next, i))
                     abandoned += 1
         self._n_abandoned += abandoned
@@ -707,10 +650,10 @@ class Engine:
         for j, a, r in zip(jobs_active, acts_active, rates_active):
             if a != ACT_COMPUTE:
                 continue
-            target = float(ckpt_work[j]) - interval
-            if target <= float(work_tol[j]):
+            target = ckpt_work[j] - interval
+            if target <= work_tol[j]:
                 continue
-            t = now + (float(rem_work[j]) - target) / r
+            t = now + (rem_work[j] - target) / r
             if t < best:
                 best = t
         return best
@@ -737,14 +680,14 @@ class Engine:
                 continue
             if state.done[j]:
                 continue
-            tol = float(kernel.work_tol[j])
-            target = float(state.ckpt_work[j]) - interval
-            if target <= tol or abs(float(state.rem_work[j]) - target) > tol:
+            tol = kernel.work_tol[j]
+            target = state.ckpt_work[j] - interval
+            if target <= tol or abs(state.rem_work[j] - target) > tol:
                 continue
             if state.ckpt_pending[j] or cost <= tol:
                 state.rem_work[j] = target
                 state.ckpt_work[j] = target
-                state.ckpt_up[j] = float(state.rem_up[j])
+                state.ckpt_up[j] = state.rem_up[j]
                 state.ckpt_pending[j] = False
                 state.rem_epoch += 1
                 events.append(checkpoint_committed(t_next, j, state.allocation(j)))
@@ -928,11 +871,11 @@ class Engine:
         result = SimulationResult(
             instance=self.instance,
             scheduler_name=getattr(self.scheduler, "name", type(self.scheduler).__name__),
-            completion=state.completion.copy(),
+            completion=np.array(state.completion, dtype=np.float64),
             schedule=self.recorder.build() if self.recorder is not None else None,
             n_events=self._counter.n_events,
             n_decisions=self._counter.n_decisions,
-            n_reexecutions=int(np.maximum(state.attempts - 1, 0).sum()),
+            n_reexecutions=sum(a - 1 for a in state.attempts if a > 1),
             wall_time=_time.perf_counter() - t0,
             scheduler_stats=dict(stats_fn()) if stats_fn is not None else None,
             n_abandoned=self._n_abandoned,

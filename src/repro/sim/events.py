@@ -20,7 +20,7 @@ crashes/recovers (carrying the :class:`~repro.core.resources.Resource`),
 ``LinkDown``/``LinkUp`` when an edge unit's access link drops/returns
 (carrying the unit as the resource), and ``AttemptAborted`` for every
 attempt a crash killed (carrying the job), so schedulers can react to
-lost work without inspecting the state arrays.
+lost work without inspecting the per-job state.
 """
 
 from __future__ import annotations

@@ -14,19 +14,15 @@ answers the three numeric questions of a simulation step:
   one ``rem -= rate * dt`` per active entry, with snap-to-zero at the
   per-job completion tolerances).
 
-Each method takes plain lists and returns a list.  Even on the
-historical n=2000 anchors a decision holds a few hundred entries and
-the active set far fewer, and at those sizes a Python loop over lists
-costs less in total than building, masking and converting NumPy arrays
-every step (docs/ENGINE.md has the measurements).  The remaining
-amounts stay in the :class:`SimState` float64 arrays and each entry is
-one IEEE-754 double operation on its own element, so a step's results
-do not depend on how many entries it has.
+Each method takes plain lists and returns a list, and the remaining
+amounts and tolerances it reads are the :class:`SimState` lists of
+Python floats: each entry is one IEEE-754 double operation on its own
+element, so a step's results do not depend on how many entries it has,
+and no NumPy scalar enters the step (docs/ENGINE.md, "Why one list
+path").
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.instance import Instance
 from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
@@ -46,9 +42,9 @@ class ActivityKernel:
     def __init__(self, instance: Instance, state: SimState):
         self.state = state
         # Completion tolerances per job, scaled by the amount magnitudes.
-        self.up_tol = np.maximum(1.0, instance.up) * _REL_TOL
-        self.work_tol = np.maximum(1.0, instance.work) * _REL_TOL
-        self.dn_tol = np.maximum(1.0, instance.dn) * _REL_TOL
+        self.up_tol = [max(1.0, x) * _REL_TOL for x in instance.up.tolist()]
+        self.work_tol = [max(1.0, x) * _REL_TOL for x in instance.work.tolist()]
+        self.dn_tol = [max(1.0, x) * _REL_TOL for x in instance.dn.tolist()]
 
     def request_kinds(self, jobs: list, kinds: list) -> list:
         """Activity code each assigned job requests in its current attempt.
@@ -76,12 +72,7 @@ class ActivityKernel:
         return out
 
     def time_to_completion(self, jobs: list, acts: list, rates: list) -> list:
-        """Remaining duration ``rem / rate`` of every active activity.
-
-        The values are NumPy float64 scalars (the state arrays' element
-        type); callers convert the minimum to ``float`` before it
-        enters the clock.
-        """
+        """Remaining duration ``rem / rate`` of every active activity."""
         state = self.state
         rems = (state.rem_up, state.rem_work, state.rem_dn)
         return [rems[a][j] / r for j, a, r in zip(jobs, acts, rates)]
@@ -100,10 +91,11 @@ class ActivityKernel:
         done = []
         for j, a, r in zip(jobs, acts, rates):
             rem = rems[a]
-            rem[j] -= r * dt
-            if rem[j] <= tols[a][j]:
+            left = rem[j] - r * dt
+            if left <= tols[a][j]:
                 rem[j] = 0.0
                 done.append(True)
             else:
+                rem[j] = left
                 done.append(False)
         return done

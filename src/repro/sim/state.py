@@ -1,14 +1,24 @@
 """Mutable simulation state: job progress and activity phases.
 
-Per-job quantities are held in flat NumPy arrays (not per-job objects)
-because the schedulers' per-event completion/stretch estimates sweep all
-live jobs; array access keeps those inner loops cheap and lets the view
-hand out vectorized estimates.
+Per-job mutable quantities — the remaining amounts of the current
+attempt, the allocation, the done flags, completion times, attempt
+counters and checkpoint watermarks — are plain lists of Python scalars
+(``float``, ``int``, ``bool``), one entry per job.  The engine step
+reads and writes them one entry at a time, and a list entry costs a
+fraction of a NumPy scalar access (docs/ENGINE.md, "Why one list
+path").  The instance's static columns stay NumPy arrays.
+
+The state also keeps the *live set* (released, uncompleted jobs) as an
+ascending list: jobs join it as :attr:`SimState.now` passes their
+release dates and leave it when they finish or are abandoned, so
+:meth:`SimState.live_jobs` builds its int64 array only when the set
+changed.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -32,32 +42,41 @@ class Phase(enum.Enum):
 
 
 class SimState:
-    """All mutable per-job state of one simulation run."""
+    """All mutable per-job state of one simulation run.
+
+    ``done`` changes only through :meth:`finish` and :meth:`abandon`,
+    which keep the live set up to date.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         n = instance.n_jobs
         self.now: float = 0.0
 
+        # Fresh amounts: what a new attempt restarts from.
+        self._up: list[float] = instance.up.tolist()
+        self._work: list[float] = instance.work.tolist()
+        self._dn: list[float] = instance.dn.tolist()
+
         #: Remaining uplink / work / downlink *for the current attempt*.
         #: Work is in work units; up/dn in time units.
-        self.rem_up = instance.up.copy()
-        self.rem_work = instance.work.copy()
-        self.rem_dn = instance.dn.copy()
+        self.rem_up = list(self._up)
+        self.rem_work = list(self._work)
+        self.rem_dn = list(self._dn)
 
-        self.alloc_kind = np.full(n, ALLOC_NONE, dtype=np.int8)
-        self.alloc_index = np.full(n, -1, dtype=np.int64)
+        self.alloc_kind: list[int] = [ALLOC_NONE] * n
+        self.alloc_index: list[int] = [-1] * n
 
-        self.done = np.zeros(n, dtype=bool)
-        self.completion = np.full(n, np.nan, dtype=np.float64)
+        self.done: list[bool] = [False] * n
+        self.completion: list[float] = [float("nan")] * n
 
         #: Number of attempts started per job (re-execution counter).
-        self.attempts = np.zeros(n, dtype=np.int64)
+        self.attempts: list[int] = [0] * n
 
         #: Structural-reset epoch: bumped once per remaining-amount reset
         #: (a new attempt or an abort), *not* on plain progress.  Lets
-        #: incremental schedulers detect resets bitwise-invisible in the
-        #: arrays themselves (e.g. an abort of a job that had not
+        #: incremental schedulers detect resets invisible in the
+        #: amounts themselves (e.g. an abort of a job that had not
         #: progressed yet writes back the fresh amounts unchanged).
         self.rem_epoch: int = 0
 
@@ -69,20 +88,29 @@ class SimState:
         self.fault_epoch: int = 0
 
         #: Checkpoint/restart extension (:mod:`repro.sim.checkpoint`).
-        #: Off by default: no watermark arrays exist and every reset
+        #: Off by default: no watermark lists exist and every reset
         #: restores from scratch, bit-identical to the historical rule.
         self.checkpoint_policy = None
         self.checkpointing: bool = False
-        self.ckpt_up: np.ndarray | None = None
-        self.ckpt_work: np.ndarray | None = None
+        self.ckpt_up: list[float] | None = None
+        self.ckpt_work: list[float] | None = None
         #: True while a job's periodic commit is burning its overhead
         #: (the watermark has not advanced yet); cleared on any reset.
-        self.ckpt_pending: np.ndarray | None = None
+        self.ckpt_pending: list[bool] | None = None
+
+        # The live set.  Jobs are released in ``_release_order``; the
+        # first ``_n_released`` of them have release dates at or before
+        # ``now`` as of the last sync.
+        self._release: list[float] = instance.release.tolist()
+        self._release_order: list[int] = np.argsort(instance.release, kind="stable").tolist()
+        self._n_released = 0
+        self._live: list[int] = []
+        self._live_array: np.ndarray | None = None
 
     def enable_checkpoints(self, policy) -> None:
         """Attach a :class:`~repro.sim.checkpoint.CheckpointPolicy`.
 
-        Watermark arrays start at the full instance amounts (nothing
+        Watermarks start at the full instance amounts (nothing
         committed); they are only allocated when the policy actually
         commits, so a retry-budget-only policy leaves the reset paths
         on the historical from-scratch rule.
@@ -90,19 +118,50 @@ class SimState:
         self.checkpoint_policy = policy
         if policy is not None and policy.checkpoints_enabled:
             self.checkpointing = True
-            self.ckpt_up = self.instance.up.copy()
-            self.ckpt_work = self.instance.work.copy()
-            self.ckpt_pending = np.zeros(self.instance.n_jobs, dtype=bool)
+            self.ckpt_up = list(self._up)
+            self.ckpt_work = list(self._work)
+            self.ckpt_pending = [False] * self.instance.n_jobs
 
     # -- queries ---------------------------------------------------------------
 
-    def released(self) -> np.ndarray:
-        """Boolean mask of jobs released at the current time."""
-        return self.instance.release <= self.now + DEFAULT_ABS_TOL
-
     def live_jobs(self) -> np.ndarray:
-        """Indices of released, uncompleted jobs."""
-        return np.nonzero(self.released() & ~self.done)[0]
+        """Indices of released, uncompleted jobs, ascending (int64).
+
+        The same read-only array is returned until the live set changes.
+        """
+        self._sync_releases()
+        live = self._live_array
+        if live is None:
+            live = np.array(self._live, dtype=np.int64)
+            live.flags.writeable = False
+            self._live_array = live
+        return live
+
+    def _sync_releases(self) -> None:
+        """Move the release front to ``now`` and update the live set.
+
+        The engine only moves ``now`` forward; a test or tool may also
+        move it back, which withdraws the releases it undoes.
+        """
+        horizon = self.now + DEFAULT_ABS_TOL
+        release = self._release
+        order = self._release_order
+        k = self._n_released
+        if k < len(order) and release[order[k]] <= horizon:
+            done = self.done
+            live = self._live
+            while k < len(order) and release[order[k]] <= horizon:
+                if not done[order[k]]:
+                    insort(live, order[k])
+                k += 1
+        elif k and release[order[k - 1]] > horizon:
+            while k and release[order[k - 1]] > horizon:
+                k -= 1
+                self._leave(order[k])
+        else:
+            return
+        self._n_released = k
+        self._live_array = None
 
     def allocation(self, i: int) -> Resource | None:
         """Current allocation of job ``i`` (None before the first attempt)."""
@@ -110,8 +169,8 @@ class SimState:
         if kind == ALLOC_NONE:
             return None
         if kind == ALLOC_EDGE:
-            return edge(int(self.alloc_index[i]))
-        return cloud(int(self.alloc_index[i]))
+            return edge(self.alloc_index[i])
+        return cloud(self.alloc_index[i])
 
     def phase(self, i: int) -> Phase:
         """Phase of job ``i`` within its current attempt.
@@ -143,50 +202,21 @@ class SimState:
         kind = ALLOC_EDGE if resource.kind is ResourceKind.EDGE else ALLOC_CLOUD
         if self.alloc_kind[i] == kind and self.alloc_index[i] == resource.index:
             return False
-        job = self.instance.jobs[i]
-        self.alloc_kind[i] = kind
-        self.alloc_index[i] = resource.index
-        if self.checkpointing:
-            # Restore from the durable watermark, not from scratch; an
-            # in-flight commit's overhead is lost with the attempt.
-            self.rem_up[i] = self.ckpt_up[i]
-            self.rem_work[i] = self.ckpt_work[i]
-            self.ckpt_pending[i] = False
-        else:
-            self.rem_up[i] = job.up
-            self.rem_work[i] = job.work
-        self.rem_dn[i] = job.dn
-        self.attempts[i] += 1
-        self.rem_epoch += 1
+        self.start_attempt(i, kind, resource.index)
         return True
 
-    def assign_many(
-        self, jobs: np.ndarray, kinds: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`assign` over a decision's columnar arrays.
+    def start_attempt(self, i: int, kind: int, index: int) -> None:
+        """Open a new attempt of job ``i`` on ``(kind, index)`` (allocation codes).
 
-        Returns the boolean mask (aligned with ``jobs``) of entries
-        that opened a new attempt — i.e. whose resource differs from
-        the current allocation.  Progress of those jobs is reset from
-        scratch, exactly as repeated scalar :meth:`assign` calls would.
+        Progress restarts from the durable watermark with checkpoints
+        on, from scratch otherwise; an in-flight commit's overhead is
+        lost with the old attempt.
         """
-        changed = (self.alloc_kind[jobs] != kinds) | (self.alloc_index[jobs] != indices)
-        if changed.any():
-            ids = jobs[changed]
-            self.alloc_kind[ids] = kinds[changed]
-            self.alloc_index[ids] = indices[changed]
-            inst = self.instance
-            if self.checkpointing:
-                self.rem_up[ids] = self.ckpt_up[ids]
-                self.rem_work[ids] = self.ckpt_work[ids]
-                self.ckpt_pending[ids] = False
-            else:
-                self.rem_up[ids] = inst.up[ids]
-                self.rem_work[ids] = inst.work[ids]
-            self.rem_dn[ids] = inst.dn[ids]
-            self.attempts[ids] += 1
-            self.rem_epoch += int(np.count_nonzero(changed))
-        return changed
+        self.alloc_kind[i] = kind
+        self.alloc_index[i] = index
+        self._restore(i)
+        self.attempts[i] += 1
+        self.rem_epoch += 1
 
     def abort(self, i: int) -> None:
         """Abort job ``i``'s current attempt (a crash killed its resource).
@@ -197,22 +227,42 @@ class SimState:
         aborted attempt happened — so the next assignment opens a fresh
         attempt and the re-execution counter stays truthful.
         """
-        job = self.instance.jobs[i]
         self.alloc_kind[i] = ALLOC_NONE
         self.alloc_index[i] = -1
+        self._restore(i)
+        self.rem_epoch += 1
+
+    def _restore(self, i: int) -> None:
+        """Reset job ``i``'s remaining amounts for a new attempt.
+
+        With checkpoints only the uncommitted tail is lost: the amounts
+        restore to the last durable watermark
+        (:mod:`repro.sim.checkpoint`).
+        """
         if self.checkpointing:
-            # Only the uncommitted tail is lost: restore to the last
-            # durable watermark (:mod:`repro.sim.checkpoint`).
             self.rem_up[i] = self.ckpt_up[i]
             self.rem_work[i] = self.ckpt_work[i]
             self.ckpt_pending[i] = False
         else:
-            self.rem_up[i] = job.up
-            self.rem_work[i] = job.work
-        self.rem_dn[i] = job.dn
-        self.rem_epoch += 1
+            self.rem_up[i] = self._up[i]
+            self.rem_work[i] = self._work[i]
+        self.rem_dn[i] = self._dn[i]
 
     def finish(self, i: int, time: float) -> None:
         """Mark job ``i`` completed at ``time``."""
-        self.done[i] = True
         self.completion[i] = time
+        self.done[i] = True
+        self._leave(i)
+
+    def abandon(self, i: int) -> None:
+        """Mark job ``i`` done without a completion (its retry budget ran out)."""
+        self.done[i] = True
+        self._leave(i)
+
+    def _leave(self, i: int) -> None:
+        """Drop job ``i`` from the live set if it is there."""
+        live = self._live
+        pos = bisect_left(live, i)
+        if pos < len(live) and live[pos] == i:
+            del live[pos]
+            self._live_array = None

@@ -7,10 +7,13 @@ is built on: how long would job ``i`` still take if placed on resource
 no-migration/re-execution rule — progress only counts on the job's
 current resource; any other placement restarts from scratch.
 
-The vectorized variant returns an array over a job-id vector for
-Edge-Only; FCFS, Greedy, SRPT and Cloud-Only build their per-decision
-rows in :class:`repro.schedulers.base.Rows`, and SSF-EDF's placement
-gathers its per-job lists from the state arrays directly.
+The per-job state accessors (``rem_*``, ``alloc_*``) return the
+state's own lists of Python scalars, indexed by job id; they are
+read-only to schedulers.  ``live_jobs()`` returns a read-only int64
+array.  The vectorized variant returns an array over a job-id vector
+for Edge-Only; FCFS, Greedy, SRPT and Cloud-Only build their
+per-decision rows in :class:`repro.schedulers.base.Rows`, and SSF-EDF's
+placement indexes the state lists directly.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class SimulationView:
         return outlook
 
     def live_jobs(self) -> np.ndarray:
-        """Indices of released, uncompleted jobs."""
+        """Indices of released, uncompleted jobs, ascending (read-only int64)."""
         return self._state.live_jobs()
 
     def allocation(self, i: int) -> Resource | None:
@@ -106,28 +109,28 @@ class SimulationView:
         return self._state.allocation(i)
 
     @property
-    def alloc_kind(self) -> np.ndarray:
-        """Per-job allocation kind codes (``ALLOC_NONE/EDGE/CLOUD``)."""
+    def alloc_kind(self) -> list[int]:
+        """Per-job allocation kind codes (``ALLOC_NONE/EDGE/CLOUD``; read-only)."""
         return self._state.alloc_kind
 
     @property
-    def alloc_index(self) -> np.ndarray:
-        """Per-job allocated resource index (-1 before any attempt)."""
+    def alloc_index(self) -> list[int]:
+        """Per-job allocated resource index (-1 before any attempt; read-only)."""
         return self._state.alloc_index
 
     @property
-    def rem_up(self) -> np.ndarray:
-        """Remaining uplink time per job (current attempt)."""
+    def rem_up(self) -> list[float]:
+        """Remaining uplink time per job (current attempt; read-only)."""
         return self._state.rem_up
 
     @property
-    def rem_work(self) -> np.ndarray:
-        """Remaining work per job (current attempt)."""
+    def rem_work(self) -> list[float]:
+        """Remaining work per job (current attempt; read-only)."""
         return self._state.rem_work
 
     @property
-    def rem_dn(self) -> np.ndarray:
-        """Remaining downlink time per job (current attempt)."""
+    def rem_dn(self) -> list[float]:
+        """Remaining downlink time per job (current attempt; read-only)."""
         return self._state.rem_dn
 
     @property
@@ -136,7 +139,7 @@ class SimulationView:
 
         Bumped once per attempt reset (new assignment or fault abort),
         never on plain progress.  Incremental schedulers compare it to
-        detect resets that are bitwise-invisible in the ``rem_*`` arrays
+        detect resets that are bitwise-invisible in the ``rem_*`` lists
         themselves — e.g. an abort of a job that had not progressed yet.
         """
         return self._state.rem_epoch
@@ -179,11 +182,11 @@ class SimulationView:
                 raise ModelError(f"job {i} cannot run on {resource}: origin is {job.origin}")
             speed = float(self.capacity_outlook().edge_rates()[resource.index])
             if state.alloc_kind[i] == ALLOC_EDGE and state.alloc_index[i] == resource.index:
-                return float(state.rem_work[i]) / speed
+                return state.rem_work[i] / speed
             return job.work / speed
         speed = float(self.capacity_outlook().cloud_rates()[resource.index])
         if state.alloc_kind[i] == ALLOC_CLOUD and state.alloc_index[i] == resource.index:
-            return float(state.rem_up[i]) + float(state.rem_work[i]) / speed + float(state.rem_dn[i])
+            return state.rem_up[i] + state.rem_work[i] / speed + state.rem_dn[i]
         return job.up + job.work / speed + job.dn
 
     def completion_est(self, i: int, resource: Resource) -> float:
@@ -207,6 +210,9 @@ class SimulationView:
         state = self._state
         inst = self.instance
         speeds = self.capacity_outlook(discounted=discounted).edge_rates()[inst.origin[jobs]]
-        on_edge = state.alloc_kind[jobs] == ALLOC_EDGE
-        work = np.where(on_edge, state.rem_work[jobs], inst.work[jobs])
-        return work / speeds
+        kind, rem_work = state.alloc_kind, state.rem_work
+        work = [
+            rem_work[j] if kind[j] == ALLOC_EDGE else w
+            for j, w in zip(np.asarray(jobs).tolist(), inst.work[jobs].tolist())
+        ]
+        return np.array(work, dtype=np.float64) / speeds

@@ -7,7 +7,10 @@ scaled each started job's current entry by ``1 - _STAY_BONUS``, masked
 it, ran a claim loop over it and appended the leftover tail.  This
 module keeps that path verbatim so the stepwise differential test
 (``test_rows_differential.py``) can check, at every engine step, that
-the row-based ``decide`` of each policy returns the same decision.
+the row-based ``decide`` of each policy returns the same decision.  The
+view's per-job state is a set of plain lists; :func:`state_arrays`
+turns the ones this path reads into the NumPy arrays it was written
+for.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, ALLOC_NONE
 from repro.sim.view import SimulationView
 
 
+def state_arrays(view: SimulationView, *names: str) -> list[np.ndarray]:
+    """The view's per-job state lists ``names`` (e.g. ``"alloc_kind"``)
+    as NumPy arrays, for fancy indexing."""
+    return [np.asarray(getattr(view, name)) for name in names]
+
+
 def durations_matrix(
     view: SimulationView, jobs: np.ndarray, *, discounted: bool = False
 ) -> np.ndarray:
@@ -43,13 +52,14 @@ def durations_matrix(
         np.divide(inst.work[jobs][:, None], speeds[None, :], out=cloud_cols)
         cloud_cols += inst.up[jobs][:, None]
         cloud_cols += inst.dn[jobs][:, None]
-        on_cloud = np.nonzero(view.alloc_kind[jobs] == ALLOC_CLOUD)[0]
+        alloc_kind, alloc_index, rem_up, rem_work, rem_dn = state_arrays(
+            view, "alloc_kind", "alloc_index", "rem_up", "rem_work", "rem_dn"
+        )
+        on_cloud = np.nonzero(alloc_kind[jobs] == ALLOC_CLOUD)[0]
         if on_cloud.size:
             ids = jobs[on_cloud]
-            ks = view.alloc_index[ids]
-            out[on_cloud, 1 + ks] = (
-                view.rem_up[ids] + view.rem_work[ids] / speeds[ks] + view.rem_dn[ids]
-            )
+            ks = alloc_index[ids]
+            out[on_cloud, 1 + ks] = rem_up[ids] + rem_work[ids] / speeds[ks] + rem_dn[ids]
     return out
 
 
@@ -71,8 +81,9 @@ def current_columns(view: SimulationView, jobs: np.ndarray) -> np.ndarray:
     0 for the origin edge unit, ``1 + k`` for cloud ``k``, and -1 for
     jobs that were never assigned.
     """
-    kind = view.alloc_kind[jobs]
-    index = view.alloc_index[jobs]
+    alloc_kind, alloc_index = state_arrays(view, "alloc_kind", "alloc_index")
+    kind = alloc_kind[jobs]
+    index = alloc_index[jobs]
     cols = np.full(len(jobs), -1, dtype=np.int64)
     cols[kind == ALLOC_EDGE] = 0
     on_cloud = kind == ALLOC_CLOUD
@@ -143,10 +154,11 @@ def append_leftovers(decision: Decision, view: SimulationView) -> None:
     rest = live[~taken[live]]
     if rest.size == 0:
         return
-    kind = view.alloc_kind[rest]
+    alloc_kind, alloc_index = state_arrays(view, "alloc_kind", "alloc_index")
+    kind = alloc_kind[rest]
     never = kind == ALLOC_NONE
     kinds = np.where(never, ALLOC_EDGE, kind).astype(np.int8)
-    indices = np.where(never, view.instance.origin[rest], view.alloc_index[rest])
+    indices = np.where(never, view.instance.origin[rest], alloc_index[rest])
     decision.add_bulk(rest, kinds, indices)
 
 
@@ -236,12 +248,13 @@ def _cloud_only(s: CloudOnlyScheduler, view: SimulationView) -> Decision:
     for row, col in claim_columns(durations, view.instance.origin[live]):
         decision.add(int(live[row]), cloud(col - 1))
         taken[row] = True
-    rest = live[~taken & (view.alloc_kind[live] == ALLOC_CLOUD)]
+    alloc_kind, alloc_index = state_arrays(view, "alloc_kind", "alloc_index")
+    rest = live[~taken & (alloc_kind[live] == ALLOC_CLOUD)]
     if rest.size:
         decision.add_bulk(
             rest,
             np.full(rest.size, ALLOC_CLOUD, dtype=np.int8),
-            view.alloc_index[rest],
+            alloc_index[rest],
         )
     return decision
 

@@ -116,7 +116,7 @@ class PruneProbe(BaseScheduler):
     def decide(self, view, events):
         live = view.live_jobs()
         if live.size:
-            self.alloc_seen.update(view.alloc_kind[live].tolist())
+            self.alloc_seen.update(view.alloc_kind[j] for j in live.tolist())
             self.floored |= bool(self.kernel.floor_report(view.now))
             inst = view.instance
             release = inst.release[live]

@@ -225,7 +225,8 @@ class TestEngineGuards:
         with pytest.raises(DecisionError, match="no such cloud"):
             run_fixed(inst, [cloud(5)])
 
-    # 1 entry takes the scalar sweep, 40 the array check of _apply.
+    # 1 and 40 entries: both sides of the 32-entry size at which _apply
+    # used to switch to NumPy array checks.
     @pytest.mark.parametrize("n_entries", [1, 40])
     @pytest.mark.parametrize(
         "kind, index, message",

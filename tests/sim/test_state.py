@@ -24,12 +24,12 @@ def state() -> SimState:
 
 class TestInitialState:
     def test_remaining_amounts(self, state):
-        assert state.rem_up.tolist() == [1.0, 0.0]
-        assert state.rem_work.tolist() == [2.0, 1.0]
-        assert state.rem_dn.tolist() == [1.0, 0.0]
+        assert state.rem_up == [1.0, 0.0]
+        assert state.rem_work == [2.0, 1.0]
+        assert state.rem_dn == [1.0, 0.0]
 
     def test_nothing_allocated(self, state):
-        assert (state.alloc_kind == ALLOC_NONE).all()
+        assert state.alloc_kind == [ALLOC_NONE, ALLOC_NONE]
         assert state.allocation(0) is None
 
     def test_live_jobs_respects_release(self, state):
