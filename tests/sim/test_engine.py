@@ -15,7 +15,7 @@ from repro.schedulers.registry import make_scheduler
 from repro.sim.decision import Decision
 from repro.sim.engine import simulate
 from repro.sim.events import EventKind
-from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, ALLOC_NONE
 from repro.workloads.random_uniform import (
     RandomInstanceConfig,
     generate_random_instance,
@@ -234,8 +234,10 @@ class TestEngineGuards:
             (ALLOC_CLOUD, -1, r"no such cloud processor: cloud\[-1\]"),
             (7, 0, "unknown allocation kind: 7"),
             (ALLOC_EDGE, -1, r"cannot run on edge\[-1\]"),
+            # Equal to an unassigned job's allocation: still rejected.
+            (ALLOC_NONE, -1, "unknown allocation kind: -1"),
         ],
-        ids=["cloud-index-negative", "kind-unknown", "edge-index-negative"],
+        ids=["cloud-index-negative", "kind-unknown", "edge-index-negative", "kind-none"],
     )
     def test_bad_raw_entry_rejected(self, n_entries, kind, index, message):
         """Raw columns from ``add_bulk`` are checked for sign and kind."""
@@ -256,6 +258,20 @@ class TestEngineGuards:
 
         with pytest.raises(DecisionError, match=message):
             simulate(inst, Raw())
+
+    def test_completed_job_with_its_allocation_rejected(self):
+        """A finished job re-sent on the resource it finished on is refused."""
+        platform = Platform.create([1.0], n_cloud=1)
+        inst = Instance.create(platform, [Job(origin=0, work=1.0), Job(origin=0, work=1.0)])
+
+        class Resender(BaseScheduler):
+            name = "resender"
+
+            def decide(self, view, events):
+                return Decision.of([(0, edge(0)), (1, edge(0))])
+
+        with pytest.raises(DecisionError, match="job 0 is already completed"):
+            simulate(inst, Resender())
 
     def test_duplicate_assignment_rejected(self):
         platform = Platform.create([1.0], n_cloud=1)
