@@ -47,7 +47,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetrySource
 from repro.sim.events import EventKind
 from repro.sim.hooks import EngineHooks, StretchWatermarkMonitor, register_hook
-from repro.sim.state import ALLOC_EDGE, Phase
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
+from repro.sim.state import ALLOC_EDGE
 
 #: Bins of every normalized utilization/queue timeline (the run's time
 #: horizon ``[0, makespan]`` is split into this many equal bins).
@@ -145,21 +146,17 @@ class UtilizationMonitor(EngineHooks, TelemetrySource):
         """Keep the view: allocation arrays locate compute activities."""
         self._view = view
 
-    def on_step(self, t0: float, t1: float, active: Sequence) -> None:
+    def on_step(self, t0: float, t1: float, jobs, acts, rates) -> None:
         """Tally how many resources of each class ran during ``[t0, t1)``."""
         dt = t1 - t0
         kind = self._view.alloc_kind
-        n_edge = n_cloud = n_up = n_dn = 0
-        for job, phase, _rate in active:
-            if phase is Phase.COMPUTE:
-                if kind[job] == ALLOC_EDGE:
-                    n_edge += 1
-                else:
-                    n_cloud += 1
-            elif phase is Phase.UPLINK:
-                n_up += 1
-            else:
-                n_dn += 1
+        n_up = acts.count(ACT_UPLINK)
+        n_dn = acts.count(ACT_DOWNLINK)
+        n_edge = 0
+        for job, act in zip(jobs, acts):
+            if act == ACT_COMPUTE and kind[job] == ALLOC_EDGE:
+                n_edge += 1
+        n_cloud = len(acts) - n_up - n_dn - n_edge
         self._segments.append((t0, t1, n_edge, n_cloud, n_up, n_dn))
         busy = self._busy
         busy[0] += n_edge * dt
@@ -199,8 +196,9 @@ class QueueDepthMonitor(EngineHooks, TelemetrySource):
     """Ready-but-not-running jobs over time.
 
     At every engine step the *depth* is the number of live (released,
-    uncompleted) jobs minus the jobs actually granted an activity —
-    i.e. jobs that want service but got none this step.  Reports:
+    uncompleted) jobs minus the jobs actually granted an activity (each
+    job holds at most one grant) — i.e. jobs that want service but got
+    none this step.  Reports:
 
     * ``queue.depth`` — time-weighted depth histogram
       (:data:`QUEUE_DEPTH_EDGES` buckets);
@@ -221,11 +219,10 @@ class QueueDepthMonitor(EngineHooks, TelemetrySource):
         """Keep the view: live-job sweeps define the ready set."""
         self._view = view
 
-    def on_step(self, t0: float, t1: float, active: Sequence) -> None:
+    def on_step(self, t0: float, t1: float, jobs, acts, rates) -> None:
         """Record the depth that held during ``[t0, t1)``, weighted by its span."""
         dt = t1 - t0
-        running = {entry[0] for entry in active}
-        depth = int(self._view.live_jobs().size) - len(running)
+        depth = int(self._view.live_jobs().size) - len(jobs)
         if depth < 0:
             depth = 0
         self._hist.observe(depth, weight=dt)
@@ -298,15 +295,48 @@ class JobStatsMonitor(EngineHooks, TelemetrySource):
         return self._registry
 
 
-class ReexecutionAccountant(EngineHooks, TelemetrySource):
+class AttemptProgress(EngineHooks):
+    """Per-attempt progress, integrated from the step callback.
+
+    The shared base of :class:`ReexecutionAccountant` and
+    :class:`FaultMonitor`: every ``on_assign`` opens a fresh
+    ``[uplink, work, downlink]`` tally for the job's new attempt, and
+    every step adds the transfers' time (rate 1) and the compute work
+    (granted rate × time).  Subclasses book a tally when its attempt
+    ends.
+    """
+
+    def __init__(self) -> None:
+        #: job -> [uplink, work, downlink] progress of the current attempt.
+        self._progress: dict[int, list[float]] = {}
+
+    def on_assign(self, job: int, resource, now: float) -> None:
+        """A new attempt opened: start a fresh progress tally."""
+        self._progress[job] = [0.0, 0.0, 0.0]
+
+    def on_step(self, t0: float, t1: float, jobs, acts, rates) -> None:
+        """Integrate each active job's progress into its current attempt."""
+        dt = t1 - t0
+        progress = self._progress
+        for job, act, rate in zip(jobs, acts, rates):
+            acc = progress[job]
+            if act == ACT_COMPUTE:
+                acc[1] += rate * dt
+            elif act == ACT_UPLINK:
+                acc[0] += dt
+            else:
+                acc[2] += dt
+
+
+class ReexecutionAccountant(AttemptProgress, TelemetrySource):
     """Work thrown away per aborted attempt.
 
     The model forbids migration: re-assigning a job to a different
     resource restarts it from scratch, so every ``on_assign`` after a
     job's first one aborts an attempt and discards whatever progress it
-    had made.  The accountant integrates per-attempt progress from the
-    step callback (uplink/downlink time at rate 1, compute at the
-    granted rate) and, on each abort, moves it to the wasted tallies:
+    had made.  The accountant integrates per-attempt progress
+    (:class:`AttemptProgress`) and, on each abort, moves it to the
+    wasted tallies:
 
     * ``reexec.aborted_attempts`` — counter;
     * ``reexec.wasted_uplink`` / ``reexec.wasted_work`` /
@@ -322,6 +352,7 @@ class ReexecutionAccountant(EngineHooks, TelemetrySource):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._registry = MetricsRegistry()
         self._aborted = self._registry.counter("reexec.aborted_attempts")
         self._wasted_up = self._registry.counter("reexec.wasted_uplink")
@@ -330,8 +361,6 @@ class ReexecutionAccountant(EngineHooks, TelemetrySource):
         self._per_attempt = self._registry.histogram(
             "reexec.wasted_per_attempt", edges=WASTED_EDGES
         )
-        #: job -> [uplink, work, downlink] progress of the current attempt.
-        self._progress: dict[int, list[float]] = {}
 
     def on_assign(self, job: int, resource, now: float) -> None:
         """A new attempt opened; book the aborted one's progress as waste."""
@@ -344,21 +373,6 @@ class ReexecutionAccountant(EngineHooks, TelemetrySource):
             self._per_attempt.observe(acc[0] + acc[1] + acc[2])
         self._progress[job] = [0.0, 0.0, 0.0]
 
-    def on_step(self, t0: float, t1: float, active: Sequence) -> None:
-        """Integrate each active job's progress into its current attempt."""
-        dt = t1 - t0
-        progress = self._progress
-        for job, phase, rate in active:
-            acc = progress.get(job)
-            if acc is None:  # defensive: a grant implies an assignment
-                acc = progress[job] = [0.0, 0.0, 0.0]
-            if phase is Phase.COMPUTE:
-                acc[1] += rate * dt
-            elif phase is Phase.UPLINK:
-                acc[0] += dt
-            else:
-                acc[2] += dt
-
     def on_abort(self, job: int, time: float) -> None:
         """A fault killed the attempt: drop its progress without booking
         (fault waste belongs to the ``faults.*`` namespace)."""
@@ -369,12 +383,13 @@ class ReexecutionAccountant(EngineHooks, TelemetrySource):
         return self._registry
 
 
-class FaultMonitor(EngineHooks, TelemetrySource):
+class FaultMonitor(AttemptProgress, TelemetrySource):
     """Fault accounting (crashes, outages, aborted work, recovery times).
 
-    Mirrors the :class:`ReexecutionAccountant`'s progress integration,
-    but books the attempts that *faults* abort (the engine's
-    ``on_abort`` callback) rather than scheduler-chosen migrations.
+    Shares the :class:`ReexecutionAccountant`'s progress integration
+    (:class:`AttemptProgress`), but books the attempts that *faults*
+    abort (the engine's ``on_abort`` callback) rather than
+    scheduler-chosen migrations.
     Reports, under the ``faults.*`` namespace:
 
     * ``faults.crashes`` — counter of edge/cloud ``ResourceDown`` events
@@ -403,6 +418,7 @@ class FaultMonitor(EngineHooks, TelemetrySource):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._registry = MetricsRegistry()
         self._crashes = self._registry.counter("faults.crashes")
         self._edge_crashes = self._registry.counter("faults.edge_crashes")
@@ -418,29 +434,8 @@ class FaultMonitor(EngineHooks, TelemetrySource):
         self._recover = self._registry.histogram(
             "faults.time_to_recover", edges=DOWNTIME_EDGES
         )
-        #: job -> [uplink, work, downlink] progress of the current attempt.
-        self._progress: dict[int, list[float]] = {}
         #: (event kind domain, resource) -> time it went down.
         self._down_since: dict[tuple[str, object], float] = {}
-
-    def on_assign(self, job: int, resource, now: float) -> None:
-        """A new attempt opened: start a fresh progress accumulator."""
-        self._progress[job] = [0.0, 0.0, 0.0]
-
-    def on_step(self, t0: float, t1: float, active: Sequence) -> None:
-        """Integrate each active job's progress into its current attempt."""
-        dt = t1 - t0
-        progress = self._progress
-        for job, phase, rate in active:
-            acc = progress.get(job)
-            if acc is None:
-                acc = progress[job] = [0.0, 0.0, 0.0]
-            if phase is Phase.COMPUTE:
-                acc[1] += rate * dt
-            elif phase is Phase.UPLINK:
-                acc[0] += dt
-            else:
-                acc[2] += dt
 
     def on_events(self, events: Sequence) -> None:
         """Count fault transitions and pair downs with ups for recovery times."""
@@ -469,15 +464,14 @@ class FaultMonitor(EngineHooks, TelemetrySource):
                 # non-checkpointed telemetry stays byte-identical.
                 self._registry.counter("faults.checkpoint_commits").inc()
             elif kind is EventKind.JOB_ABANDONED:
+                # The abort that exhausted the budget already booked the
+                # job's last attempt.
                 self._registry.counter("faults.abandoned_jobs").inc()
-                self._progress.pop(ev.job, None)
 
     def on_abort(self, job: int, time: float) -> None:
         """Book the killed attempt's progress as fault waste."""
-        acc = self._progress.pop(job, None)
+        acc = self._progress.pop(job)
         self._aborted.inc()
-        if acc is None:
-            acc = [0.0, 0.0, 0.0]
         self._wasted_up.inc(acc[0])
         self._wasted_work.inc(acc[1])
         self._wasted_dn.inc(acc[2])

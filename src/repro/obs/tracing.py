@@ -1,14 +1,16 @@
 """Causal run tracing: job-lifecycle spans + decision provenance.
 
-:class:`RunTracer` is an :class:`~repro.sim.hooks.EngineHooks`
-implementation (like :class:`repro.sim.trace.TraceRecorder`: zero
-hot-loop cost when not registered) that turns one simulation into an
-explainable artifact:
+:class:`RunTracer` is a :class:`repro.sim.trace.TraceRecorder` — the
+run's attempt record, an :class:`~repro.sim.hooks.EngineHooks`
+implementation with zero hot-loop cost when not registered — that
+adds what it takes to turn one simulation into an explainable
+artifact:
 
-* **job-lifecycle spans** — one timeline per job: release, every
-  attempt (resource, start/end, outcome ``completed`` / ``aborted`` /
-  ``superseded``) with its coalesced uplink/compute/downlink segments,
-  fault aborts and rework, closed with the job's realized stretch;
+* **job-lifecycle spans** — the recorder's attempts written out per
+  job: release, every attempt (resource, start/end, outcome
+  ``completed`` / ``aborted`` / ``superseded``) with its coalesced
+  uplink/compute/downlink segments, the resource whose fault aborted
+  it, closed with the job's realized stretch;
 * **decision provenance** — one record per scheduler decision with the
   *changed* placements (delta vs the pre-decision allocations) and,
   for schedulers that support it (SSF-EDF's ``set_provenance``), the
@@ -41,7 +43,9 @@ from typing import Iterable, Sequence
 from repro.core.errors import ModelError
 from repro.sim.events import EventKind
 from repro.sim.hooks import EngineHooks, register_hook
-from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, Phase
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
+from repro.sim.state import ALLOC_EDGE
+from repro.sim.trace import TraceRecorder
 from repro.util.jsonl import read_jsonl, write_jsonl
 
 #: Trace-record layout tag; bump together with the record vocabulary.
@@ -55,12 +59,8 @@ _LINE_KEYS = {
     "event": ("event", "time", "resource"),
 }
 
-#: Phase enum → segment phase string.
-_PHASE_NAME = {
-    Phase.UPLINK: "uplink",
-    Phase.COMPUTE: "compute",
-    Phase.DOWNLINK: "downlink",
-}
+#: Activity code → segment phase string.
+_SEGMENT_PHASE = {ACT_UPLINK: "uplink", ACT_COMPUTE: "compute", ACT_DOWNLINK: "downlink"}
 
 #: Fault/availability event kinds recorded in the trace's event stream.
 #: The checkpoint kinds only ever fire under a
@@ -82,12 +82,15 @@ def _res_str(resource) -> str:
     return f"edge:{resource.index}" if resource.is_edge else f"cloud:{resource.index}"
 
 
-class RunTracer(EngineHooks):
+class RunTracer(TraceRecorder):
     """Record one run's job spans, decisions and fault events.
 
-    Registered as hook name ``"tracing"``.  Sets
-    :attr:`~repro.sim.hooks.EngineHooks.wants_decision_provenance`, so
-    the engine asks provenance-capable schedulers to attach a
+    Registered as hook name ``"tracing"``.  The attempts and completions
+    are the inherited :class:`~repro.sim.trace.TraceRecorder` record;
+    the tracer adds the decisions, the fault events, each aborted
+    attempt's ``aborted_by`` resource and the decision provenance.  It
+    sets :attr:`~repro.sim.hooks.EngineHooks.wants_decision_provenance`,
+    so the engine asks provenance-capable schedulers to attach a
     structured explanation to every decision; schedulers without the
     capability still trace fine (the provenance field is just null).
 
@@ -99,16 +102,7 @@ class RunTracer(EngineHooks):
     wants_decision_provenance = True
 
     def __init__(self) -> None:
-        self._release = None
-        self._min_time = None
-        self._origin = None
-        self._n_jobs = 0
-        #: job -> list of attempt dicts (the last one may be open).
-        self._attempts: dict[int, list[dict]] = {}
-        #: job -> (alloc code, index) of the current attempt.
-        self._alloc: dict[int, tuple[int, int]] = {}
-        #: job -> completion time.
-        self._completion: dict[int, float] = {}
+        super().__init__()
         self._decisions: list[dict] = []
         self._events: list[dict] = []
         self._abandoned: set[int] = set()
@@ -116,27 +110,21 @@ class RunTracer(EngineHooks):
 
     # -- engine callbacks --------------------------------------------------
 
-    def on_start(self, view) -> None:
-        """Capture the static per-job quantities of the instance."""
-        instance = view.instance
-        self._release = instance.release
-        self._min_time = instance.min_time
-        self._origin = instance.origin
-        self._n_jobs = instance.n_jobs
-
     def on_decision(self, now: float, decision) -> None:
-        """Record the decision: changed placements + provenance, if any."""
-        alloc = self._alloc
-        changed = []
-        for j, k, i in zip(*decision.as_lists()):
-            if alloc.get(j) != (k, i):
-                changed.append(
-                    {
-                        "job": j,
-                        "kind": "edge" if k == ALLOC_EDGE else "cloud",
-                        "index": i,
-                    }
-                )
+        """Record the decision: changed placements + provenance, if any.
+
+        The decision is not applied yet, so the view still holds the
+        allocations it is compared against.
+        """
+        alloc_kind = self._view.alloc_kind
+        alloc_index = self._view.alloc_index
+        n_jobs = len(alloc_kind)
+        changed = [
+            {"job": j, "kind": "edge" if k == ALLOC_EDGE else "cloud", "index": i}
+            for j, k, i in zip(*decision.as_lists())
+            # An unknown job counts as changed; the engine rejects it next.
+            if not 0 <= j < n_jobs or alloc_kind[j] != k or alloc_index[j] != i
+        ]
         prov = getattr(decision, "provenance", None)
         self._decisions.append(
             {
@@ -148,40 +136,6 @@ class RunTracer(EngineHooks):
             }
         )
 
-    def on_assign(self, job: int, resource, now: float) -> None:
-        """Open a new attempt; the superseded one (if open) is closed."""
-        attempts = self._attempts.setdefault(job, [])
-        if attempts and attempts[-1]["end"] is None:
-            attempts[-1]["end"] = now
-            attempts[-1]["outcome"] = "superseded"
-        attempts.append(
-            {
-                "resource": _res_str(resource),
-                "start": now,
-                "end": None,
-                "outcome": "open",
-                "aborted_by": None,
-                "segments": [],
-            }
-        )
-        self._alloc[job] = (
-            ALLOC_EDGE if resource.is_edge else ALLOC_CLOUD,
-            resource.index,
-        )
-
-    def on_step(self, t0: float, t1: float, active: Sequence) -> None:
-        """Append/coalesce each active activity into its attempt's segments."""
-        if t1 <= t0:
-            return
-        attempts = self._attempts
-        for job, phase, _rate in active:
-            spans = attempts[job][-1]["segments"]
-            name = _PHASE_NAME[phase]
-            if spans and spans[-1][0] == name and spans[-1][2] == t0:
-                spans[-1][2] = t1
-            else:
-                spans.append([name, t0, t1])
-
     def on_events(self, events: Sequence) -> None:
         """Record fault/availability transitions; blame fault aborts."""
         for ev in events:
@@ -192,7 +146,7 @@ class RunTracer(EngineHooks):
             record: dict = {"event": name, "time": ev.time, "resource": res}
             if ev.kind is EventKind.ATTEMPT_ABORTED:
                 record["job"] = ev.job
-                attempts = self._attempts.get(ev.job)
+                attempts = self._attempts[ev.job]
                 if attempts and attempts[-1]["outcome"] == "aborted":
                     attempts[-1]["aborted_by"] = res
             elif ev.kind is EventKind.CHECKPOINT_COMMITTED:
@@ -201,22 +155,6 @@ class RunTracer(EngineHooks):
                 record["job"] = ev.job
                 self._abandoned.add(ev.job)
             self._events.append(record)
-
-    def on_abort(self, job: int, time: float) -> None:
-        """Close the job's attempt as fault-aborted (progress lost)."""
-        attempts = self._attempts.get(job)
-        if attempts and attempts[-1]["end"] is None:
-            attempts[-1]["end"] = time
-            attempts[-1]["outcome"] = "aborted"
-        self._alloc.pop(job, None)
-
-    def on_complete(self, job: int, time: float) -> None:
-        """Close the job's attempt and its span."""
-        attempts = self._attempts.get(job)
-        if attempts and attempts[-1]["end"] is None:
-            attempts[-1]["end"] = time
-            attempts[-1]["outcome"] = "completed"
-        self._completion[job] = time
 
     def on_finish(self, result) -> None:
         """Keep the result for the header/stretch fields of the payload."""
@@ -234,20 +172,21 @@ class RunTracer(EngineHooks):
         if self._result is None:
             raise ModelError("RunTracer.payload() called before the run finished")
         result = self._result
+        instance = result.instance
         jobs = []
-        for j in range(self._n_jobs):
-            completion = self._completion.get(j)
-            release = float(self._release[j])
-            min_time = float(self._min_time[j])
+        for j in range(instance.n_jobs):
+            completion = self._completion[j]
+            release = float(instance.release[j])
+            min_time = float(instance.min_time[j])
             stretch = None if completion is None else (completion - release) / min_time
             record = {
                 "job": j,
                 "release": release,
                 "min_time": min_time,
-                "origin": int(self._origin[j]),
+                "origin": int(instance.origin[j]),
                 "completion": completion,
                 "stretch": stretch,
-                "attempts": self._attempts.get(j, []),
+                "attempts": [_attempt_span(a) for a in self._attempts[j]],
             }
             # Conditional key: only abandoned jobs carry it, so traces of
             # runs without a retry budget keep their historical bytes.
@@ -257,7 +196,7 @@ class RunTracer(EngineHooks):
         return {
             "schema": TRACE_SCHEMA,
             "scheduler": result.scheduler_name,
-            "n_jobs": self._n_jobs,
+            "n_jobs": instance.n_jobs,
             "max_stretch": result.max_stretch,
             "makespan": result.makespan,
             "n_decisions": result.n_decisions,
@@ -266,6 +205,18 @@ class RunTracer(EngineHooks):
             "decisions": self._decisions,
             "events": self._events,
         }
+
+
+def _attempt_span(attempt: dict) -> dict:
+    """One recorded attempt in the trace's vocabulary."""
+    return {
+        "resource": _res_str(attempt["resource"]),
+        "start": attempt["start"],
+        "end": attempt["end"],
+        "outcome": attempt["outcome"],
+        "aborted_by": attempt.get("aborted_by"),
+        "segments": [[_SEGMENT_PHASE[act], t0, t1] for act, t0, t1 in attempt["segments"]],
+    }
 
 
 def collect_trace(hooks: Iterable[EngineHooks]) -> dict | None:

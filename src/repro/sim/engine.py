@@ -16,10 +16,10 @@ The run loop is composed from three layers plus an observer protocol:
 * the **activity kernel** (:mod:`repro.sim.kernel`) — remaining-amount
   arithmetic (``rem -= rate * dt`` with snap-to-zero) and next-event
   distances over the active set's columns;
-* **hooks** (:mod:`repro.sim.hooks`) — all instrumentation (interval
-  traces, counters, profilers, watermarks) observes the run through
-  the :class:`~repro.sim.hooks.EngineHooks` callbacks; the engine core
-  contains no instrumentation-specific branches.
+* **hooks** (:mod:`repro.sim.hooks`) — all instrumentation (the
+  attempt record, counters, profilers, watermarks) observes the run
+  through the :class:`~repro.sim.hooks.EngineHooks` callbacks; the
+  engine core contains no instrumentation-specific branches.
 
 One step of the main loop:
 
@@ -72,14 +72,11 @@ from repro.sim.events import (
 from repro.sim.hooks import EngineHooks, EventCounter, HookSet
 from repro.sim.kernel import ActivityKernel
 from repro.sim.ledger import ACT_COMPUTE, ACT_UPLINK, ResourceLedger
-from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, Phase, SimState
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, ALLOC_NONE, SimState
 from repro.sim.trace import TraceRecorder
 from repro.sim.view import SimulationView
 
 _ABS_TOL = 1e-9
-
-#: Activity code → scheduler-facing phase (for hook callbacks).
-_ACT_PHASE = {0: Phase.UPLINK, 1: Phase.COMPUTE, 2: Phase.DOWNLINK}
 
 
 @runtime_checkable
@@ -169,11 +166,12 @@ def simulate(
 ) -> SimulationResult:
     """Run ``scheduler`` on ``instance`` and return the result.
 
-    ``record_trace=False`` skips building the interval schedule (big
-    parameter sweeps); metrics remain available from the completion
-    array.  ``faults`` injects a deterministic crash/outage trace
-    (:mod:`repro.faults`); ``None`` or an empty trace leaves the run
-    bit-identical to the fault-free engine.  ``checkpoint`` attaches a
+    ``record_trace=False`` skips recording the attempts and building
+    the interval schedule from them (big parameter sweeps); metrics
+    remain available from the completion array.  ``faults`` injects a
+    deterministic crash/outage trace (:mod:`repro.faults`); ``None`` or
+    an empty trace leaves the run bit-identical to the fault-free
+    engine.  ``checkpoint`` attaches a
     :class:`~repro.sim.checkpoint.CheckpointPolicy`: durable progress
     commits, watermark restores on abort and optional per-job retry
     budgets; ``None`` (the default) keeps the historical
@@ -230,7 +228,7 @@ class Engine:
                 rates = observed_rates(self.faults)
             checkpoint = checkpoint.resolved_for(rates)
         self.checkpoint = checkpoint
-        self.recorder = TraceRecorder(instance) if record_trace else None
+        self.recorder = TraceRecorder() if record_trace else None
         self._counter = EventCounter()
         observers: list[EngineHooks] = []
         if self.recorder is not None:
@@ -300,6 +298,8 @@ class Engine:
         self._outlook = view.capacity_outlook()
         kernel = ActivityKernel(instance, state)
         hooks = self.hooks
+        for cb in hooks.start:
+            cb(view)
 
         if n == 0:
             return self._result(state, t0=t0)
@@ -321,8 +321,6 @@ class Engine:
         set_prov = getattr(self.scheduler, "set_provenance", None)
         if set_prov is not None:
             set_prov(hooks.wants_provenance)
-        for cb in hooks.start:
-            cb(view)
         for cb in hooks.events:
             cb(events)
 
@@ -390,13 +388,8 @@ class Engine:
 
             completed = kernel.advance(jobs_active, acts_active, rates_active, dt)
 
-            if hooks.has_step:
-                active = [
-                    (j, _ACT_PHASE[a], r)
-                    for j, a, r in zip(jobs_active, acts_active, rates_active)
-                ]
-                for cb in hooks.step:
-                    cb(now, t_next, active)
+            for cb in hooks.step:
+                cb(now, t_next, jobs_active, acts_active, rates_active)
 
             events = []
             for i, act, finished in zip(jobs_active, acts_active, completed):
@@ -480,9 +473,11 @@ class Engine:
 
         An entry whose resource differs from the job's current
         allocation opens a new attempt
-        (:meth:`~repro.sim.state.SimState.start_attempt`).  The first
-        invalid entry raises its :class:`DecisionError` after the valid
-        prefix was applied.
+        (:meth:`~repro.sim.state.SimState.start_attempt`).  An entry
+        equal to it was validated when that attempt opened, so past the
+        range and done checks it is skipped.  The first invalid entry
+        raises its :class:`DecisionError` after the valid prefix was
+        applied.
         """
         instance = self.instance
         n_jobs = instance.n_jobs
@@ -494,12 +489,14 @@ class Engine:
         alloc_index = state.alloc_index
         now = state.now
         deadline = now + _ABS_TOL
-        has_assign = hooks.has_assign
+        assign = hooks.assign
         for i, kind, idx in zip(jobs_l, kinds_l, indices_l):
             if not 0 <= i < n_jobs:
                 raise DecisionError(f"no such job: {i}")
             if done[i]:
                 raise DecisionError(f"job {i} is already completed")
+            if kind == alloc_kind[i] and idx == alloc_index[i] and kind != ALLOC_NONE:
+                continue
             if release_times[i] > deadline:
                 raise DecisionError(
                     f"job {i} is not released yet (r={release_times[i]}, t={now})"
@@ -516,12 +513,11 @@ class Engine:
                 raise DecisionError(f"job {i} has an unknown allocation kind: {kind}")
             elif not 0 <= idx < n_cloud:
                 raise DecisionError(f"no such cloud processor: cloud[{idx}]")
-            if alloc_kind[i] != kind or alloc_index[i] != idx:
-                state.start_attempt(i, kind, idx)
-                if has_assign:
-                    res = edge(idx) if kind == ALLOC_EDGE else cloud(idx)
-                    for cb in hooks.assign:
-                        cb(i, res, now)
+            state.start_attempt(i, kind, idx)
+            if assign:
+                res = edge(idx) if kind == ALLOC_EDGE else cloud(idx)
+                for cb in assign:
+                    cb(i, res, now)
 
     # -- fault boundaries ------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Pluggable engine instrumentation (the observer layer of the sim-core).
 
-The engine itself only *simulates*; everything observational — interval
-traces, event/decision counters, step-timing profiles, stretch
+The engine itself only *simulates*; everything observational — the
+attempt record, event/decision counters, step-timing profiles, stretch
 watermarks — is an :class:`EngineHooks` implementation registered on
 the engine.  Hooks see the run through a small set of callbacks:
 
@@ -20,12 +20,13 @@ callback        fired
 
 The engine pre-binds, per callback, the list of hooks that actually
 override it (:class:`HookSet`), so unused callbacks cost nothing in the
-hot loop — an engine run with no step hooks builds no per-activity
-``active`` list.
+hot loop.  ``on_step`` receives the three parallel lists the engine
+itself steps on (jobs, activity codes, rates), so a step observer costs
+the engine no extra work either.
 
 Ship-with hooks: :class:`EventCounter` (the engine's own bookkeeping),
 :class:`StepTimingProfiler` and :class:`StretchWatermarkMonitor` here,
-and :class:`repro.sim.trace.TraceRecorder` for full interval traces.
+and :class:`repro.sim.trace.TraceRecorder`, the run's attempt record.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.resources import Resource
     from repro.sim.decision import Decision
     from repro.sim.events import Event
-    from repro.sim.state import Phase
     from repro.sim.view import SimulationView
 
 
@@ -50,8 +50,7 @@ class EngineHooks:
 
     Subclass and override only what you need — the engine skips
     callbacks that no registered hook overrides, so a hook pays only
-    for what it observes.  ``active`` entries in :meth:`on_step` are
-    ``(job, phase, rate)`` tuples in priority (grant) order.
+    for what it observes.
 
     A hook that wants the scheduler to attach structured provenance to
     each :class:`~repro.sim.decision.Decision` (see
@@ -75,10 +74,23 @@ class EngineHooks:
         """Called when ``job`` opens a new attempt on ``resource``."""
 
     def on_step(
-        self, t0: float, t1: float, active: Sequence[tuple[int, "Phase", float]]
+        self,
+        t0: float,
+        t1: float,
+        jobs: Sequence[int],
+        acts: Sequence[int],
+        rates: Sequence[float],
     ) -> None:
-        """Called after time advanced from ``t0`` to ``t1``; ``active``
-        lists the activities that ran during ``[t0, t1)``."""
+        """Called after time advanced from ``t0`` to ``t1``.
+
+        ``jobs``, ``acts`` and ``rates`` are the engine's own parallel
+        lists of the activities that ran during ``[t0, t1)``, in
+        priority (grant) order: the job, its activity code
+        (``ACT_UPLINK`` / ``ACT_COMPUTE`` / ``ACT_DOWNLINK`` of
+        :mod:`repro.sim.ledger`) and its rate.  Each job appears at
+        most once.  The lists are read-only: the engine keeps stepping
+        on them after the callback returns.
+        """
 
     def on_events(self, events: Sequence["Event"]) -> None:
         """Called with every batch of freshly emitted events."""
@@ -104,9 +116,7 @@ class HookSet:
 
     Built once per engine run.  Each ``self.<name>`` attribute is the
     list of bound methods of the hooks that override ``on_<name>``; the
-    engine only iterates non-empty lists, and the boolean ``has_step``
-    / ``has_assign`` flags let it skip building callback arguments
-    entirely when nobody listens.
+    engine skips building a callback's arguments when its list is empty.
     """
 
     def __init__(self, hooks: Sequence[EngineHooks]):
@@ -119,9 +129,6 @@ class HookSet:
         self.abort = [h.on_abort for h in self.hooks if _overrides(h, "on_abort")]
         self.complete = [h.on_complete for h in self.hooks if _overrides(h, "on_complete")]
         self.finish = [h.on_finish for h in self.hooks if _overrides(h, "on_finish")]
-        self.has_step = bool(self.step)
-        self.has_assign = bool(self.assign)
-        self.has_complete = bool(self.complete)
         self.wants_provenance = any(
             getattr(type(h), "wants_decision_provenance", False) for h in self.hooks
         )
@@ -186,7 +193,7 @@ class StepTimingProfiler(EngineHooks):
         """Stamp the start of the step."""
         self._t0 = _time.perf_counter()
 
-    def on_step(self, t0: float, t1: float, active) -> None:
+    def on_step(self, t0: float, t1: float, jobs, acts, rates) -> None:
         """Close the step opened by the last decision."""
         if self._t0 is not None:
             self.step_times.append(_time.perf_counter() - self._t0)

@@ -176,3 +176,21 @@ class TestDeterminism:
         assert plain.max_stretch == hooked.max_stretch
         assert plain.n_events == hooked.n_events
         assert plain.n_decisions == hooked.n_decisions
+
+
+class TestEmptyInstance:
+    def test_hooks_start_and_finish_on_an_empty_instance(self):
+        """Every hook sees ``on_start`` before ``on_finish``, jobs or not."""
+        from repro.core.instance import Instance
+        from repro.core.platform import Platform
+        from repro.obs.tracing import RunTracer
+
+        instance = Instance.create(Platform.create([1.0], n_cloud=1), [])
+        tracer = RunTracer()
+        hooks = make_hooks(DEFAULT_TELEMETRY_HOOKS) + [tracer]
+        result = simulate(instance, make_scheduler("ssf-edf"), hooks=hooks)
+        metrics = collect_telemetry(hooks).metrics
+        assert metrics.gauge("util.horizon").value == 0.0
+        assert metrics.counter("jobs.completed").value == 0.0
+        assert result.schedule.job_schedules == {}
+        assert tracer.payload()["jobs"] == []

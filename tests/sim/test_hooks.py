@@ -28,16 +28,17 @@ class TestHookSet:
         class OnlyStep(EngineHooks):
             """Overrides on_step alone."""
 
-            def on_step(self, t0, t1, active):
+            def on_step(self, t0, t1, jobs, acts, rates):
                 pass
 
         hs = HookSet([OnlyStep()])
-        assert hs.has_step and not hs.has_assign and not hs.has_complete
-        assert hs.step and not hs.decision and not hs.events
+        assert len(hs.step) == 1
+        assert not (hs.start or hs.decision or hs.assign or hs.events)
+        assert not (hs.abort or hs.complete or hs.finish)
 
     def test_empty_set_has_no_flags(self):
         hs = HookSet([])
-        assert not (hs.has_step or hs.has_assign or hs.has_complete)
+        assert not (hs.step or hs.assign or hs.complete or hs.wants_provenance)
 
 
 class TestEventCounter:
@@ -83,7 +84,7 @@ class TestStepTimingProfiler:
     def test_finish_does_not_double_count(self):
         profiler = StepTimingProfiler()
         profiler.on_decision(0.0, None)
-        profiler.on_step(0.0, 1.0, [])
+        profiler.on_step(0.0, 1.0, [], [], [])
         profiler.on_finish(None)
         assert profiler.report().n_steps == 1
 
@@ -139,7 +140,7 @@ class TestCustomHooks:
             def on_assign(self, job, resource, now):
                 calls["assign"] += 1
 
-            def on_step(self, t0, t1, active):
+            def on_step(self, t0, t1, jobs, acts, rates):
                 calls["step"] += 1
 
             def on_events(self, events):

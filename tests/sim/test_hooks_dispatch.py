@@ -2,17 +2,18 @@
 
 Pins the contracts instrumentation relies on: callback order within one
 engine step (decision → assign → step → complete/abort → events), abort
-interleaving at fault boundaries, and — the hot-path guarantee — that a
-run with no step hooks does zero per-activity Python work building the
-``active`` list.
+interleaving at fault boundaries, and the step callback's arguments:
+the engine's own parallel job/activity/rate lists, shared by every step
+hook, with each job at most once.
 """
 
 import pytest
 
 from repro.faults import FaultClassParams, exponential_fault_trace
-from repro.sim import engine as engine_mod
 from repro.sim.engine import simulate
 from repro.sim.hooks import EngineHooks, HookSet
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
+from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 from repro.schedulers.registry import make_scheduler
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
@@ -38,7 +39,7 @@ class RecordingHooks(EngineHooks):
     def on_assign(self, job, resource, now):
         self.log.append("assign")
 
-    def on_step(self, t0, t1, active):
+    def on_step(self, t0, t1, jobs, acts, rates):
         self.log.append("step")
 
     def on_events(self, events):
@@ -114,52 +115,48 @@ class TestDispatchOrder:
                 assert cycle.index("abort") < cycle.index("events")
 
 
-class _CountingPhaseMap(dict):
-    """A ``_ACT_PHASE`` stand-in that counts per-activity lookups."""
+class StepLists(EngineHooks):
+    """Keep every step's argument lists and check them against the view."""
 
-    lookups = 0
+    def __init__(self):
+        self.steps = []
+        self.problems = []
 
-    def __getitem__(self, key):
-        _CountingPhaseMap.lookups += 1
-        return super().__getitem__(key)
+    def on_start(self, view):
+        self.view = view
+
+    def on_step(self, t0, t1, jobs, acts, rates):
+        self.steps.append((jobs, acts, rates))
+        platform = self.view.platform
+        kind, index = self.view.alloc_kind, self.view.alloc_index
+        if not len(jobs) == len(acts) == len(rates) or len(set(jobs)) != len(jobs):
+            self.problems.append((t0, "lists not parallel or a job repeats"))
+        for job, act, rate in zip(jobs, acts, rates):
+            if act == ACT_COMPUTE and kind[job] == ALLOC_EDGE:
+                expected = float(platform.edge_speeds[index[job]])
+            elif act == ACT_COMPUTE and kind[job] == ALLOC_CLOUD:
+                expected = float(platform.cloud_speeds[index[job]])
+            elif act in (ACT_UPLINK, ACT_DOWNLINK) and kind[job] == ALLOC_CLOUD:
+                expected = 1.0
+            else:
+                self.problems.append((t0, job, act, kind[job]))
+                continue
+            if rate != expected:
+                self.problems.append((t0, job, act, rate, expected))
 
 
-class TestZeroWorkWithoutStepHooks:
-    def test_no_step_hook_means_no_per_activity_lookups(self, monkeypatch):
-        counting = _CountingPhaseMap(engine_mod._ACT_PHASE)
-        monkeypatch.setattr(engine_mod, "_ACT_PHASE", counting)
-
-        class NoStep(EngineHooks):
-            """Overrides everything except on_step."""
-
-            def on_decision(self, now, decision):
-                pass
-
-            def on_complete(self, job, time):
-                pass
-
-        _CountingPhaseMap.lookups = 0
-        simulate(
-            small_instance(),
-            make_scheduler("ssf-edf"),
-            record_trace=False,
-            hooks=[NoStep()],
-        )
-        assert _CountingPhaseMap.lookups == 0
-
-        class WithStep(NoStep):
-            """Adds on_step: the active list must now be built."""
-
-            def on_step(self, t0, t1, active):
-                pass
-
-        simulate(
-            small_instance(),
-            make_scheduler("ssf-edf"),
-            record_trace=False,
-            hooks=[WithStep()],
-        )
-        assert _CountingPhaseMap.lookups > 0
+class TestStepLists:
+    def test_step_hooks_share_the_engine_lists(self):
+        first, second = StepLists(), StepLists()
+        simulate(small_instance(n=25, seed=6), make_scheduler("ssf-edf"), hooks=[first, second])
+        assert first.problems == []
+        assert first.steps and len(first.steps) == len(second.steps)
+        acts_seen = set()
+        for mine, theirs in zip(first.steps, second.steps):
+            # No per-hook copies: both hooks get the very same lists.
+            assert all(a is b for a, b in zip(mine, theirs))
+            acts_seen.update(mine[1])
+        assert acts_seen == {ACT_UPLINK, ACT_COMPUTE, ACT_DOWNLINK}
 
 
 class TestWantsProvenance:

@@ -14,7 +14,7 @@ from repro.core.resources import ResourceKind
 from repro.schedulers.registry import make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.hooks import EngineHooks
-from repro.sim.state import Phase
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
 
@@ -44,25 +44,29 @@ class InvariantAuditor(EngineHooks):
         # progress never transfers between resources).
         self.progress[job] = 0.0
 
-    def on_step(self, t0, t1, active):
+    def on_step(self, t0, t1, jobs, acts, rates):
         """Check per-step exclusivity and accumulate work progress."""
         dt = t1 - t0
+        if not len(jobs) == len(acts) == len(rates):
+            self.violations.append(f"t={t0}: step lists of unequal length")
+        if len(set(jobs)) != len(jobs):
+            self.violations.append(f"t={t0}: a job holds two grants")
         compute_slots = set()
         edge_send = set()
         edge_recv = set()
         cloud_recv = set()
         cloud_send = set()
-        for job, phase, rate in active:
+        for job, act, rate in zip(jobs, acts, rates):
             kind, index = self.where[job]
             origin = int(self.instance.origin[job])
-            if phase is Phase.COMPUTE:
+            if act == ACT_COMPUTE:
                 if (kind, index) in compute_slots:
                     self.violations.append(
                         f"t={t0}: two jobs computing on {kind.value}[{index}]"
                     )
                 compute_slots.add((kind, index))
                 self.progress[job] += rate * dt
-            elif phase is Phase.UPLINK:
+            elif act == ACT_UPLINK:
                 if kind is not ResourceKind.CLOUD:
                     self.violations.append(f"t={t0}: uplink of edge-allocated job {job}")
                 if origin in edge_send:
@@ -71,13 +75,15 @@ class InvariantAuditor(EngineHooks):
                     self.violations.append(f"t={t0}: cloud[{index}] receives twice")
                 edge_send.add(origin)
                 cloud_recv.add(index)
-            elif phase is Phase.DOWNLINK:
+            elif act == ACT_DOWNLINK:
                 if index in cloud_send:
                     self.violations.append(f"t={t0}: cloud[{index}] sends twice")
                 if origin in edge_recv:
                     self.violations.append(f"t={t0}: edge[{origin}] receives twice")
                 cloud_send.add(index)
                 edge_recv.add(origin)
+            else:
+                self.violations.append(f"t={t0}: unknown activity code {act}")
 
     def on_complete(self, job, time):
         """A completed job must have done its full work in its last attempt."""

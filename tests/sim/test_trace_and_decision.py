@@ -1,8 +1,10 @@
 """Tests for repro.sim.trace, repro.sim.decision, repro.sim.events."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.errors import DecisionError, SimulationError
+from repro.core.errors import DecisionError
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Platform
@@ -18,7 +20,7 @@ from repro.sim.events import (
     release,
     uplink_done,
 )
-from repro.sim.state import Phase
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
 from repro.sim.trace import TraceRecorder
 
 
@@ -69,14 +71,26 @@ class TestEvents:
         assert e.time == 4.5 and e.job == 7
 
 
+def started_recorder(instance) -> TraceRecorder:
+    """A recorder after ``on_start`` (it only reads the view's instance)."""
+    rec = TraceRecorder()
+    rec.on_start(SimpleNamespace(instance=instance))
+    return rec
+
+
+def step(rec, t0, t1, job, act, rate=1.0):
+    """One engine step in which ``job`` alone ran activity ``act``."""
+    rec.on_step(t0, t1, [job], [act], [rate])
+
+
 class TestTraceRecorder:
     def test_records_attempt_and_phases(self, instance):
-        rec = TraceRecorder(instance)
-        rec.new_attempt(0, cloud(0))
-        rec.record(0, Phase.UPLINK, 0.0, 1.0)
-        rec.record(0, Phase.COMPUTE, 1.0, 3.0)
-        rec.record(0, Phase.DOWNLINK, 3.0, 4.0)
-        rec.complete(0, 4.0)
+        rec = started_recorder(instance)
+        rec.on_assign(0, cloud(0), 0.0)
+        step(rec, 0.0, 1.0, 0, ACT_UPLINK)
+        step(rec, 1.0, 3.0, 0, ACT_COMPUTE)
+        step(rec, 3.0, 4.0, 0, ACT_DOWNLINK)
+        rec.on_complete(0, 4.0)
         schedule = rec.build()
         attempt = schedule.job_schedules[0].final_attempt
         assert attempt.uplink.total_length() == 1.0
@@ -85,33 +99,50 @@ class TestTraceRecorder:
         assert schedule.job_schedules[0].completion == 4.0
 
     def test_zero_length_segments_dropped(self, instance):
-        rec = TraceRecorder(instance)
-        rec.new_attempt(0, edge(0))
-        rec.record(0, Phase.COMPUTE, 1.0, 1.0)
+        rec = started_recorder(instance)
+        rec.on_assign(0, edge(0), 1.0)
+        step(rec, 1.0, 1.0, 0, ACT_COMPUTE)
         assert len(rec.build().job_schedules[0].final_attempt.execution) == 0
 
     def test_contiguous_segments_merged(self, instance):
-        rec = TraceRecorder(instance)
-        rec.new_attempt(0, edge(0))
-        rec.record(0, Phase.COMPUTE, 0.0, 1.0)
-        rec.record(0, Phase.COMPUTE, 1.0, 2.0)
+        rec = started_recorder(instance)
+        rec.on_assign(0, edge(0), 0.0)
+        step(rec, 0.0, 1.0, 0, ACT_COMPUTE)
+        step(rec, 1.0, 2.0, 0, ACT_COMPUTE)
         execution = rec.build().job_schedules[0].final_attempt.execution
         assert len(execution) == 1
         assert execution.total_length() == 2.0
-
-    def test_activity_before_attempt_rejected(self, instance):
-        rec = TraceRecorder(instance)
-        with pytest.raises(SimulationError):
-            rec.record(0, Phase.COMPUTE, 0.0, 1.0)
+        # One coalesced segment in the record, too.
+        assert rec._attempts[0][0]["segments"] == [[ACT_COMPUTE, 0.0, 2.0]]
 
     def test_second_attempt_separates_intervals(self, instance):
-        rec = TraceRecorder(instance)
-        rec.new_attempt(0, edge(0))
-        rec.record(0, Phase.COMPUTE, 0.0, 1.0)
-        rec.new_attempt(0, cloud(0))
-        rec.record(0, Phase.UPLINK, 1.0, 2.0)
+        rec = started_recorder(instance)
+        rec.on_assign(0, edge(0), 0.0)
+        step(rec, 0.0, 1.0, 0, ACT_COMPUTE)
+        rec.on_assign(0, cloud(0), 1.0)
+        step(rec, 1.0, 2.0, 0, ACT_UPLINK)
         schedule = rec.build()
         js = schedule.job_schedules[0]
         assert len(js.attempts) == 2
         assert js.attempts[0].execution.total_length() == 1.0
         assert js.attempts[1].uplink.total_length() == 1.0
+
+    def test_attempt_outcomes(self, instance):
+        rec = started_recorder(instance)
+        rec.on_assign(0, edge(0), 0.0)
+        step(rec, 0.0, 0.5, 0, ACT_COMPUTE)
+        rec.on_assign(0, cloud(0), 0.5)
+        rec.on_abort(0, 1.0)
+        rec.on_assign(0, edge(0), 2.0)
+        step(rec, 2.0, 4.0, 0, ACT_COMPUTE)
+        rec.on_complete(0, 4.0)
+        record = [(a["start"], a["end"], a["outcome"]) for a in rec._attempts[0]]
+        assert record == [
+            (0.0, 0.5, "superseded"),
+            (0.5, 1.0, "aborted"),
+            (2.0, 4.0, "completed"),
+        ]
+        # The aborted attempt never ran: an empty attempt in the schedule.
+        attempts = rec.build().job_schedules[0].attempts
+        assert [a.resource for a in attempts] == [edge(0), cloud(0), edge(0)]
+        assert not (attempts[1].uplink or attempts[1].execution or attempts[1].downlink)
