@@ -28,7 +28,7 @@ estimates from outlook rates, the placement kernel
 (:mod:`repro.schedulers.placement`) builds its rate tables and
 reservation floors from it, and the engine blocks the
 :class:`~repro.sim.ledger.ResourceLedger` from the outlook's composed
-down-set at every from-scratch activation round.
+down-set at every activation round.
 """
 
 from __future__ import annotations
@@ -269,9 +269,10 @@ class CapacityOutlook:
         fault trace's down-state and window membership are piecewise
         constant on half-open intervals), so consumers can use key
         equality as an exact "the blocked set did not change" test —
-        the engine's incremental activation resumes grants across
-        events exactly when this key is unchanged.  Not counted as a
-        capacity query: it reads the boundary indices, not the state.
+        the engine's activation re-blocks the down-set of its last
+        answer, without a query, while this key is unchanged.  Not
+        counted as a capacity query: it reads the boundary indices, not
+        the state.
         """
         fk = self.faults.interval_key(t) if self._has_faults else 0
         wk = self.availability.interval_key(t) if self._has_windows else 0
@@ -285,7 +286,7 @@ class CapacityOutlook:
         fault trace (the full resource is unusable), plus cloud
         processors whose *compute* slot is taken by a static
         co-tenancy window (their ports stay usable).  This is the set
-        the engine blocks in the ledger at every from-scratch round.
+        the engine blocks in the ledger at every activation round.
 
         Served from the delta cache when ``t`` falls in the same
         constancy interval as the previous query (see

@@ -225,9 +225,9 @@ class FaultTrace:
         The trace's down-state is piecewise constant between boundaries,
         and down intervals are half-open, so :meth:`down_at` returns the
         same sets for any two instants with equal keys.  Consumers (the
-        capacity outlook's delta cache, the engine's incremental
-        activation) use key equality as the exact "nothing changed"
-        predicate instead of re-deriving the down-state.
+        capacity outlook's delta cache, the engine's activation rounds)
+        use key equality as the exact "nothing changed" predicate
+        instead of re-deriving the down-state.
         """
         return bisect_right(self._boundaries, t)
 

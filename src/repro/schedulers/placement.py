@@ -38,8 +38,6 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim.events import EventKind
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 from repro.sim.view import SimulationView
@@ -112,17 +110,19 @@ class PlacementResult:
     """One constructive EDF placement, in columnar (decision-ready) form.
 
     ``jobs`` / ``kinds`` / ``indices`` are the decision columns in EDF
-    order (the engine's priority order); ``completions`` the per-job
-    completion estimates in the same order; ``feasible`` whether every
-    deadline was met.  A short-circuited infeasible probe returns
-    truncated columns (``complete=False``) — only the flag is
-    meaningful then.
+    order (the engine's priority order), lists of Python ints;
+    ``completions`` the per-job completion estimates in the same order,
+    a list of Python floats; ``feasible`` whether every deadline was
+    met.  A short-circuited infeasible probe returns truncated columns
+    (``complete=False``) — only the flag is meaningful then.  The lists
+    may be shared with the kernel's pass cache and the scheduler's
+    replay cache: treat them as read-only.
     """
 
-    jobs: np.ndarray
-    kinds: np.ndarray
-    indices: np.ndarray
-    completions: np.ndarray
+    jobs: list[int]
+    kinds: list[int]
+    indices: list[int]
+    completions: list[float]
     feasible: bool
     complete: bool = True
     #: Per-job explanation rows (see :meth:`EdfPlacementKernel.place`
@@ -316,11 +316,11 @@ class EdfPlacementKernel:
         #: Constructive passes served from a per-decision order cache
         #: (exported as ``scheduler.pass_reuses``; see :meth:`place`).
         self.pass_reuses = 0
-        #: Last (live, deadlines) byte images and their EDF order — the
-        #: sort is skipped entirely when both are unchanged (every
-        #: non-release rebuild between live-set changes, repeated
+        #: Copies of the last (live, deadlines) lists and their EDF
+        #: order — the sort is skipped entirely when both are unchanged
+        #: (every non-release rebuild between live-set changes, repeated
         #: probes).
-        self._order_mem: tuple[bytes, bytes, np.ndarray] | None = None
+        self._order_mem: tuple[list[int], list[float], list[int]] | None = None
 
         # Static per-job quantities, precomputed once from the outlook's
         # effective rates.  Undiscounted, the divisions are the exact
@@ -552,8 +552,8 @@ class EdfPlacementKernel:
     def place(
         self,
         view: SimulationView,
-        live: np.ndarray,
-        deadlines: np.ndarray,
+        live: list[int],
+        deadlines: list[float],
         *,
         short_circuit: bool = False,
         explain: bool = False,
@@ -561,7 +561,13 @@ class EdfPlacementKernel:
     ) -> PlacementResult:
         """Constructive EDF placement (see :mod:`repro.schedulers.ssf_edf`).
 
-        Jobs are processed by non-decreasing deadline; each reserves the
+        ``live`` lists the jobs to place, ascending, and ``deadlines``
+        their deadlines in the same order (Python floats).  Jobs are
+        processed by non-decreasing deadline, in the stable order
+        ``sorted(range(m), key=deadlines.__getitem__)``: equal deadlines
+        keep their position in ``live``, so ties go to the lower job id
+        only because ``live`` is ascending — the order
+        ``np.lexsort((live, deadlines))`` gives.  Each job reserves the
         resource chain minimizing its completion given the reservations
         of more urgent jobs.  With ``short_circuit`` the construction
         aborts at the first missed deadline (binary-search probes only
@@ -586,26 +592,24 @@ class EdfPlacementKernel:
         is set (rows are built only by a real pass).
         """
         now = view.now
-        lb = live.tobytes()
-        db = deadlines.tobytes()
         mem = self._order_mem
-        if mem is not None and mem[0] == lb and mem[1] == db:
+        if mem is not None and mem[0] == live and mem[1] == deadlines:
             order = mem[2]
         else:
-            order = np.lexsort((live, deadlines))
-            self._order_mem = (lb, db, order)
+            order = sorted(range(len(live)), key=deadlines.__getitem__)
+            self._order_mem = (live[:], deadlines[:], order)
         # Per-position miss tolerance in EDF order: the
         # ``dl + _TOL * (dl if dl > 1.0 else 1.0)`` IEEE expression of
         # the per-job check.
-        dl_l = deadlines[order].tolist()
+        dl_l = [deadlines[p] for p in order]
         dlt_l = [dl + _TOL * (dl if dl > 1.0 else 1.0) for dl in dl_l]
         key = None
         if reuse is not None and not explain:
-            key = order.tobytes()
+            key = tuple(order)
             hit = reuse.get(key)
             if hit is not None:
                 self.pass_reuses += 1
-                ok = [c <= t for c, t in zip(hit.completions.tolist(), dlt_l)]
+                ok = [c <= t for c, t in zip(hit.completions, dlt_l)]
                 feas = all(ok)
                 if feas or not short_circuit:
                     if feas == hit.feasible:
@@ -628,8 +632,7 @@ class EdfPlacementKernel:
                 )
         self.reset(now)
 
-        live_sorted = live[order]
-        live_l = live_sorted.tolist()
+        live_l = [live[p] for p in order]
         # The state's per-job lists: the current allocation and the
         # remaining amounts, read per job in the loop below.  Transfer
         # amounts are divided by the link rate (exact when it is 1.0).
@@ -883,22 +886,21 @@ class EdfPlacementKernel:
             if missed:
                 feasible = False
                 if short_circuit:
-                    placed = pos + 1
                     return PlacementResult(
-                        jobs=live_sorted[:placed],
-                        kinds=np.array(kinds_l, dtype=np.int8),
-                        indices=np.array(indices_l, dtype=np.int64),
-                        completions=np.array(completions_l, dtype=np.float64),
+                        jobs=live_l[: pos + 1],
+                        kinds=kinds_l,
+                        indices=indices_l,
+                        completions=completions_l,
                         feasible=False,
                         complete=False,
                         explain=explain_rows,
                     )
 
         result = PlacementResult(
-            jobs=live_sorted,
-            kinds=np.array(kinds_l, dtype=np.int8),
-            indices=np.array(indices_l, dtype=np.int64),
-            completions=np.array(completions_l, dtype=np.float64),
+            jobs=live_l,
+            kinds=kinds_l,
+            indices=indices_l,
+            completions=completions_l,
             feasible=feasible,
             explain=explain_rows,
         )
@@ -993,11 +995,8 @@ class ReplayCache:
         up_ph, work_ph = phantoms
 
         origin = instance.origin
-        jobs_l = placed.jobs.tolist()
-        kinds_l = placed.kinds.tolist()
-        indices_l = placed.indices.tolist()
         queues = self._queues
-        for pos, (i, kind, idx) in enumerate(zip(jobs_l, kinds_l, indices_l)):
+        for pos, (i, kind, idx) in enumerate(zip(placed.jobs, placed.kinds, placed.indices)):
             if kind == ALLOC_EDGE:
                 t = (i, _P_COMP, (idx,), False)
                 tokens = [t]

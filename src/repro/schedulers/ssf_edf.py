@@ -32,7 +32,7 @@ hot path"):
   the decision's deadlines (and hence its placement) are bitwise those
   of that probe;
 * non-release events replay the cached placement when an exact
-  invalidation check passes: the live-set hash, the remaining-amount
+  invalidation check passes: the live set, the remaining-amount
   epoch of :class:`~repro.sim.view.SimulationView` (faults/aborts bump
   it), and the structural progress check of
   :class:`~repro.schedulers.placement.ReplayCache` — which verifies the
@@ -46,8 +46,6 @@ Hot-path counters are exported via :meth:`telemetry_counters` (the
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from repro.schedulers.base import BaseScheduler, has_release
 from repro.schedulers.placement import (
@@ -146,13 +144,17 @@ class SsfEdfScheduler(BaseScheduler):
         self._stretch_so_far = 1.0
         self._hint: float | None = None
         self._has_deadlines = False
-        self._deadline_arr: np.ndarray | None = None
+        #: Per-job deadlines of the last release decision, and the
+        #: instance's release dates and minimal times they derive from.
+        self._deadlines: list[float] = []
+        self._release: list[float] = []
+        self._min_time: list[float] = []
         self._kernel: EdfPlacementKernel | None = None
         self._stats = PlacementStats()
         self._cache: ReplayCache | None = None
         self._cache_seed: tuple | None = None
         self._cache_placed: PlacementResult | None = None
-        self._cache_live_bytes = b""
+        self._cache_live: list[int] = []
         self._cache_epoch = -1
         self._cache_fault_epoch = -1
         self._fresh: tuple[list[float], list[float], list[float]] = ([], [], [])
@@ -186,11 +188,13 @@ class SsfEdfScheduler(BaseScheduler):
 
     def _bind(self, view: SimulationView) -> None:
         """Build the per-run kernel and wipe every piece of cached state."""
-        n = view.instance.n_jobs
+        instance = view.instance
         self._stretch_so_far = 1.0
         self._hint = None
         self._has_deadlines = False
-        self._deadline_arr = np.zeros(n, dtype=np.float64)
+        self._deadlines = [0.0] * instance.n_jobs
+        self._release = instance.release.tolist()
+        self._min_time = instance.min_time.tolist()
         self._kernel = EdfPlacementKernel(
             view,
             failure_aware=self.failure_aware,
@@ -216,17 +220,16 @@ class SsfEdfScheduler(BaseScheduler):
         self._cache = None
         self._cache_seed = None
         self._cache_placed = None
-        self._cache_live_bytes = b""
+        self._cache_live = []
         self._cache_epoch = -1
         self._cache_fault_epoch = -1
-        instance = view.instance
         self._fresh = (instance.up.tolist(), instance.work.tolist(), instance.dn.tolist())
         self._snap_up, self._snap_work, self._snap_dn = [], [], []
 
     def decide(self, view: SimulationView, events: Sequence[Event]) -> Decision:
         decision = Decision()
-        live = view.live_jobs()
-        if live.size == 0:
+        live = view.live_jobs().tolist()
+        if not live:
             self._cache = None
             self._cache_seed = None
             return decision
@@ -250,20 +253,21 @@ class SsfEdfScheduler(BaseScheduler):
 
     # -- release path ----------------------------------------------------------
 
-    def _release_placement(self, view: SimulationView, live: np.ndarray) -> PlacementResult:
+    def _release_placement(self, view: SimulationView, live: list[int]) -> PlacementResult:
         """Binary-search the stretch target, refresh deadlines, place.
 
         ``binary_search_min`` returns the stretch of the *last probe
         that came back feasible* (the feasible bracket end only moves on
         feasible probes).  With ``alpha == 1`` the decision's target
         equals that stretch bitwise, its deadlines are the same
-        ``release + stretch * min_time`` NumPy expression the probe
-        evaluated, and the probe's placement can therefore be adopted as
-        the decision without re-running the constructive pass.
+        ``r + stretch * m`` expressions the probe evaluated (a product,
+        then a sum: the two IEEE operations per job of the historical
+        NumPy expression), and the probe's placement can therefore be
+        adopted as the decision without re-running the constructive
+        pass.
         """
-        instance = view.instance
-        release = instance.release[live]
-        min_time = instance.min_time[live]
+        release = [self._release[j] for j in live]
+        min_time = [self._min_time[j] for j in live]
         kernel = self._kernel
         stats = self._stats
         last_feasible: list = [None]
@@ -276,7 +280,7 @@ class SsfEdfScheduler(BaseScheduler):
 
         def feasible(stretch: float) -> bool:
             stats.probes += 1
-            deadlines = release + stretch * min_time
+            deadlines = [r + stretch * m for r, m in zip(release, min_time)]
             # Probes never need explain rows (the probe record reads
             # jobs/completions only), so the pass cache stays usable —
             # and the counters stay identical — with provenance on.
@@ -291,17 +295,16 @@ class SsfEdfScheduler(BaseScheduler):
                 else:
                     # Short-circuited or not, the last placed job is the
                     # first (most urgent) deadline miss — the violator.
-                    vj = int(res.jobs[-1])
+                    vj = res.jobs[-1]
                     probes_rec.append(
                         ProbeRecord(
                             stretch,
                             False,
                             not res.complete,
                             violator=vj,
-                            violator_completion=float(res.completions[-1]),
-                            violator_deadline=float(
-                                instance.release[vj] + stretch * instance.min_time[vj]
-                            ),
+                            violator_completion=res.completions[-1],
+                            violator_deadline=self._release[vj]
+                            + stretch * self._min_time[vj],
                         )
                     )
             return res.feasible
@@ -313,7 +316,9 @@ class SsfEdfScheduler(BaseScheduler):
         self._stretch_so_far = max(self._stretch_so_far, best)
 
         target = self.alpha * self._stretch_so_far
-        self._deadline_arr[live] = release + target * min_time
+        deadlines = [r + target * m for r, m in zip(release, min_time)]
+        for j, dl in zip(live, deadlines):
+            self._deadlines[j] = dl
         self._has_deadlines = True
 
         lf = last_feasible[0]
@@ -327,12 +332,10 @@ class SsfEdfScheduler(BaseScheduler):
                 # adopted probe's pass — ``target == best`` makes the
                 # deadline vectors equal).  Moves no counters, so traced
                 # and untraced runs stay stat-identical.
-                placed = kernel.place(view, live, self._deadline_arr[live], explain=True)
+                placed = kernel.place(view, live, deadlines, explain=True)
         else:
             stats.rebuilds += 1
-            placed = kernel.place(
-                view, live, self._deadline_arr[live], explain=prov, reuse=pass_cache
-            )
+            placed = kernel.place(view, live, deadlines, explain=prov, reuse=pass_cache)
             path = "rebuild"
         self._establish_cache(view, live, placed)
         if prov:
@@ -348,7 +351,7 @@ class SsfEdfScheduler(BaseScheduler):
     # -- non-release path ------------------------------------------------------
 
     def _replay_or_rebuild(
-        self, view: SimulationView, live: np.ndarray, events: Sequence[Event]
+        self, view: SimulationView, live: list[int], events: Sequence[Event]
     ) -> PlacementResult:
         """Replay the cached placement if provably exact, else rebuild.
 
@@ -378,7 +381,7 @@ class SsfEdfScheduler(BaseScheduler):
             self._replay_enabled
             and self._cache_seed is not None
             and view.rem_epoch == self._cache_epoch
-            and live.tobytes() == self._cache_live_bytes
+            and live == self._cache_live
         ):
             # Cheap guards passed — only now is the structural shadow
             # worth having.  Building it lazily (from the flags captured
@@ -396,8 +399,9 @@ class SsfEdfScheduler(BaseScheduler):
                     self._set_event_prov("replay", self._cache_placed, view.now)
                 return self._cache_placed
 
+        deadlines = self._deadlines
         placed = self._kernel.place(
-            view, live, self._deadline_arr[live], explain=self._provenance
+            view, live, [deadlines[j] for j in live], explain=self._provenance
         )
         stats.rebuilds += 1
         self._establish_cache(view, live, placed)
@@ -415,13 +419,13 @@ class SsfEdfScheduler(BaseScheduler):
             floors=self._kernel.floor_report(now),
         )
 
-    def _changed_jobs(self, view: SimulationView, live: np.ndarray) -> set[int]:
+    def _changed_jobs(self, view: SimulationView, live: list[int]) -> set[int]:
         """The live jobs whose remaining amounts changed since the snapshot."""
         up, work, dn = view.rem_up, view.rem_work, view.rem_dn
         snap_up, snap_work, snap_dn = self._snap_up, self._snap_work, self._snap_dn
         return {
             j
-            for j in live.tolist()
+            for j in live
             if up[j] != snap_up[j] or work[j] != snap_work[j] or dn[j] != snap_dn[j]
         }
 
@@ -432,7 +436,7 @@ class SsfEdfScheduler(BaseScheduler):
         self._snap_dn = view.rem_dn.copy()
 
     def _establish_cache(
-        self, view: SimulationView, live: np.ndarray, placed: PlacementResult
+        self, view: SimulationView, live: list[int], placed: PlacementResult
     ) -> None:
         """Cache ``placed`` for replay at subsequent non-release events."""
         if not self._replay_enabled:
@@ -450,9 +454,7 @@ class SsfEdfScheduler(BaseScheduler):
         moved: list[int] = []
         up_ph: list[bool] = []
         work_ph: list[bool] = []
-        for j, kind, idx in zip(
-            placed.jobs.tolist(), placed.kinds.tolist(), placed.indices.tolist()
-        ):
+        for j, kind, idx in zip(placed.jobs, placed.kinds, placed.indices):
             if alloc_kind[j] != kind or alloc_index[j] != idx:
                 moved.append(j)
                 stays = False
@@ -463,7 +465,7 @@ class SsfEdfScheduler(BaseScheduler):
         self._cache = None
         self._cache_seed = (placed, up_ph, work_ph)
         self._cache_placed = placed
-        self._cache_live_bytes = live.tobytes()
+        self._cache_live = live
         # The engine bumps the remaining-amount epoch once per entry
         # whose resource differs from the current allocation; predict
         # the post-application value so our own assignment doesn't
@@ -480,18 +482,19 @@ class SsfEdfScheduler(BaseScheduler):
 
 
 def _edf_placement(
-    view: SimulationView, live: np.ndarray, deadlines: np.ndarray
-) -> tuple[list[tuple[int, Resource]], np.ndarray, bool]:
+    view: SimulationView, live: list[int], deadlines: list[float]
+) -> tuple[list[tuple[int, Resource]], list[float], bool]:
     """Constructive EDF placement (compatibility wrapper over the kernel).
 
-    Processes jobs by non-decreasing deadline; each reserves time on the
-    resource minimizing its completion given earlier reservations.
-    Returns the ordered placement, the per-job completion estimates (in
-    placement order), and whether every deadline was met.
+    Processes the ascending ``live`` jobs by non-decreasing deadline;
+    each reserves time on the resource minimizing its completion given
+    earlier reservations.  Returns the ordered placement, the per-job
+    completion estimates (in placement order), and whether every
+    deadline was met.
     """
-    placed = EdfPlacementKernel(view).place(view, live, np.asarray(deadlines, dtype=np.float64))
+    placed = EdfPlacementKernel(view).place(view, live, deadlines)
     placement = [
-        (int(j), edge(int(idx)) if kind == ALLOC_EDGE else cloud(int(idx)))
+        (j, edge(idx) if kind == ALLOC_EDGE else cloud(idx))
         for j, kind, idx in zip(placed.jobs, placed.kinds, placed.indices)
     ]
     return placement, placed.completions, placed.feasible

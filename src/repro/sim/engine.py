@@ -9,10 +9,9 @@ The run loop is composed from three layers plus an observer protocol:
 
 * the **clock** — this module's :class:`Engine.run` loop, which owns
   event ordering, release draining and time advance;
-* the **resource ledger** (:mod:`repro.sim.ledger`) — grant/release
-  state of every exclusive compute slot and communication port, with an
-  incremental API so activation only re-evaluates the decision suffix
-  that the last event batch could have affected;
+* the **resource ledger** (:mod:`repro.sim.ledger`) — grant state of
+  every exclusive compute slot and communication port, reset and
+  re-granted in decision priority order at every step;
 * the **activity kernel** (:mod:`repro.sim.kernel`) — remaining-amount
   arithmetic (``rem -= rate * dt`` with snap-to-zero) and next-event
   distances over the active set's columns;
@@ -71,10 +70,11 @@ from repro.sim.events import (
 )
 from repro.sim.hooks import EngineHooks, EventCounter, HookSet
 from repro.sim.kernel import ActivityKernel
-from repro.sim.ledger import ACT_COMPUTE, ACT_UPLINK, ResourceLedger
+from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK, ResourceLedger
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE, ALLOC_NONE, SimState
 from repro.sim.trace import TraceRecorder
 from repro.sim.view import SimulationView
+from repro.util.float_cmp import DEFAULT_ABS_TOL
 
 _ABS_TOL = 1e-9
 
@@ -168,7 +168,11 @@ def simulate(
 
     ``record_trace=False`` skips recording the attempts and building
     the interval schedule from them (big parameter sweeps); metrics
-    remain available from the completion array.  ``faults`` injects a
+    remain available from the completion array.  With
+    ``record_trace=True`` the schedule is built from the first
+    :class:`~repro.sim.trace.TraceRecorder` among ``hooks`` (a
+    :class:`~repro.obs.tracing.RunTracer`, say), or from a recorder of
+    the engine's own when there is none.  ``faults`` injects a
     deterministic crash/outage trace (:mod:`repro.faults`); ``None`` or
     an empty trace leaves the run bit-identical to the fault-free
     engine.  ``checkpoint`` attaches a
@@ -228,13 +232,17 @@ class Engine:
                 rates = observed_rates(self.faults)
             checkpoint = checkpoint.resolved_for(rates)
         self.checkpoint = checkpoint
-        self.recorder = TraceRecorder() if record_trace else None
+        observers: list[EngineHooks] = list(hooks) if hooks else []
+        self.recorder: TraceRecorder | None = None
+        if record_trace:
+            # A TraceRecorder among the hooks (a RunTracer, say) already
+            # keeps the attempt record: the schedule is built from it
+            # instead of recording every attempt twice.
+            self.recorder = next((h for h in observers if isinstance(h, TraceRecorder)), None)
+            if self.recorder is None:
+                self.recorder = TraceRecorder()
+                observers.insert(0, self.recorder)
         self._counter = EventCounter()
-        observers: list[EngineHooks] = []
-        if self.recorder is not None:
-            observers.append(self.recorder)
-        if hooks:
-            observers.extend(hooks)
         observers.append(self._counter)
         self.hooks = HookSet(observers)
         n = instance.n_jobs
@@ -269,19 +277,11 @@ class Engine:
         # Set at run start from the view (shared, transparent outlook).
         self._outlook = None
 
-        # Per-position grant bookkeeping of the last activation round
-        # (aligned with the decision's columns); backs the ledger's
-        # incremental release path.
-        self._prev_l: tuple[list, list, list, list] | None = None
-        #: Blocked-set constancy key of the last activation round (None
-        #: when the run has no windows and no faults).  Incremental
-        #: resumption is sound exactly while this key is unchanged.
-        self._prev_block_key: tuple[int, int] | None = None
-        self._pos_granted: list[bool] = []
-        self._pos_act: list[int] = []
-        self._pos_o: list[int] = []
-        self._pos_k: list[int] = []
-        self._pos_rate: list[float] = []
+        #: Blocked-set key of the last activation round and the down-set
+        #: blocked in it (see :meth:`_activate`); unused without windows
+        #: and faults.
+        self._block_key: tuple[int, int] | None = None
+        self._blocked: tuple[list, list, list, list] | None = None
 
     def run(self) -> SimulationResult:
         """Execute the simulation to completion."""
@@ -345,9 +345,8 @@ class Engine:
                 cb(now, decision)
 
             self._apply(state, hooks, jobs_l, kinds_l, indices_l)
-            acts_l = kernel.request_kinds(jobs_l, kinds_l)
             jobs_active, acts_active, rates_active = self._activate(
-                jobs_l, kinds_l, indices_l, acts_l, now
+                state, jobs_l, kinds_l, indices_l, now
             )
 
             # Earliest next event.  Every operand is a Python float, so
@@ -696,10 +695,10 @@ class Engine:
 
     def _activate(
         self,
+        state: SimState,
         jobs_l: list,
         kinds_l: list,
         indices_l: list,
-        acts_l: list,
         now: float,
     ) -> tuple[list, list, list]:
         """Grant resources in priority order; return the active set.
@@ -707,157 +706,74 @@ class Engine:
         Returns parallel ``(jobs, activities, rates)`` lists of the
         granted activities, in decision priority order.
 
-        Grants are resumed incrementally: positions before the first
-        request that changed since the previous round keep their grant
-        outcome (a grant depends only on higher-priority requests, which
-        are unchanged), the ledger releases the stale suffix, and only
-        the suffix is re-scanned.  With availability windows or a fault
-        trace, grants also depend on the clock through the blocked set,
-        which is piecewise constant between boundaries: rounds whose
-        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_key` is
-        unchanged since the previous round see the exact same blocked
-        claims (releases never touch block claims, only granted
-        positions), so incremental resumption stays sound.  Only rounds
-        that cross a boundary — key changed — rebuild from scratch,
-        re-blocking the ledger for the new down-state.
+        Every round grants from a fresh ledger in one pass over the
+        decision.  Each entry requests its job's activity in the
+        current attempt (the rule of :meth:`SimState.phase`: zero-length
+        communications are skipped, edge attempts only compute) and
+        joins the active set iff every resource that activity needs is
+        still free.  The pass stops once the ledger is exhausted.
+
+        With availability windows or a fault trace, the ledger is first
+        blocked for the down-state at ``now``.  That state is constant
+        between boundaries, so the outlook is asked for it only when
+        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_key`
+        changed since the previous round; a round with an unchanged key
+        re-blocks the lists of the last answer and counts one
+        ``n_delta_updates``, as a query served by key equality.
         """
         ledger = self.ledger
-        start = 0
-        prev_l = self._prev_l
-        blocked = self._has_windows or self._has_faults
-        block_key = self._outlook.blocked_key(now) if blocked else None
-        if prev_l is not None and block_key == self._prev_block_key:
-            if blocked:
-                # The round's down-state was served by key equality
-                # instead of a fresh scan — a delta update.
-                self._outlook.n_delta_updates += 1
-            pjobs_l, pkinds_l, pindices_l, pacts_l = prev_l
-            mm = min(len(jobs_l), len(pjobs_l))
-            start = mm
-            for pos in range(mm):
-                if (
-                    jobs_l[pos] != pjobs_l[pos]
-                    or kinds_l[pos] != pkinds_l[pos]
-                    or indices_l[pos] != pindices_l[pos]
-                    or acts_l[pos] != pacts_l[pos]
-                ):
-                    start = pos
-                    break
-            granted = self._pos_granted
-            for pos in range(start, len(granted)):
-                if granted[pos]:
-                    ledger.release(self._pos_act[pos], self._pos_o[pos], self._pos_k[pos])
-            del granted[start:]
-            del self._pos_act[start:]
-            del self._pos_o[start:]
-            del self._pos_k[start:]
-            del self._pos_rate[start:]
-        else:
-            ledger.begin_round()
-            if blocked:
-                ledger.block_from_outlook(self._outlook, now)
-            self._pos_granted.clear()
-            self._pos_act.clear()
-            self._pos_o.clear()
-            self._pos_k.clear()
-            self._pos_rate.clear()
+        ledger.begin_round()
+        if self._has_windows or self._has_faults:
+            outlook = self._outlook
+            key = outlook.blocked_key(now)
+            if key != self._block_key:
+                self._block_key = key
+                self._blocked = ledger.block_from_outlook(outlook, now)
+            else:
+                outlook.n_delta_updates += 1
+                ledger.block(self._blocked)
 
-        self._scan(start, jobs_l, kinds_l, indices_l, acts_l, now)
-        self._prev_l = (jobs_l, kinds_l, indices_l, acts_l)
-        self._prev_block_key = block_key
-
-        ja: list = []
-        aa: list = []
-        ra: list = []
-        rates_l = self._pos_rate
-        for pos, ok in enumerate(self._pos_granted):
-            if ok:
-                ja.append(jobs_l[pos])
-                aa.append(acts_l[pos])
-                ra.append(rates_l[pos])
-        return ja, aa, ra
-
-    def _scan(
-        self,
-        start: int,
-        jobs_l: list,
-        kinds_l: list,
-        indices_l: list,
-        acts_l: list,
-        now: float,
-    ) -> None:
-        """Scan decision positions from ``start``, granting in priority order.
-
-        Appends one entry per position to the per-position bookkeeping
-        lists.  Stops attempting grants once the ledger is exhausted —
-        every remaining request would be denied anyway.
-        """
-        ledger = self.ledger
+        rem_up = state.rem_up
+        rem_work = state.rem_work
         origin = self._origin_l
         edge_speeds = self._edge_speeds_l
         cloud_speeds = self._cloud_speeds_l
-        granted = self._pos_granted
-        p_act = self._pos_act
-        p_o = self._pos_o
-        p_k = self._pos_k
-        p_rate = self._pos_rate
-
         grant_edge_compute = ledger.grant_edge_compute
         grant_uplink = ledger.grant_uplink
         grant_cloud_compute = ledger.grant_cloud_compute
         grant_downlink = ledger.grant_downlink
-
-        exhausted = ledger.exhausted
-        n_pos = len(jobs_l)
-        for pos in range(start, n_pos):
-            if exhausted:
-                # Every remaining request would be denied: fill the tail
-                # in bulk (same entries the per-position path appends).
-                rest = n_pos - pos
-                p_act.extend(acts_l[pos:])
-                granted.extend([False] * rest)
-                fill = [-1] * rest
-                p_o.extend(fill)
-                p_k.extend(fill)
-                p_rate.extend([0.0] * rest)
-                return
-            act = acts_l[pos]
-            p_act.append(act)
-            if kinds_l[pos] == ALLOC_EDGE:
-                j = indices_l[pos]
-                if grant_edge_compute(j):
-                    granted.append(True)
-                    p_o.append(j)
-                    p_k.append(-1)
-                    p_rate.append(edge_speeds[j])
-                    exhausted = ledger.exhausted
+        ja: list = []
+        aa: list = []
+        ra: list = []
+        for j, kind, k in zip(jobs_l, kinds_l, indices_l):
+            if kind == ALLOC_EDGE:
+                if not grant_edge_compute(k):
                     continue
+                act = ACT_COMPUTE
+                rate = edge_speeds[k]
+            elif rem_up[j] > DEFAULT_ABS_TOL:
+                if not grant_uplink(origin[j], k):
+                    continue
+                act = ACT_UPLINK
+                rate = 1.0
+            elif rem_work[j] > DEFAULT_ABS_TOL:
+                # A cloud inside a co-tenancy window is pre-blocked in
+                # the ledger, so a plain grant suffices here.
+                if not grant_cloud_compute(k):
+                    continue
+                act = ACT_COMPUTE
+                rate = cloud_speeds[k]
             else:
-                k = indices_l[pos]
-                o = origin[jobs_l[pos]]
-                if act == ACT_UPLINK:
-                    ok = grant_uplink(o, k)
-                    rate = 1.0
-                elif act == ACT_COMPUTE:
-                    # A cloud inside a co-tenancy window is pre-blocked
-                    # in the ledger (block_from_outlook at round start),
-                    # so a plain grant suffices here.
-                    ok = grant_cloud_compute(k)
-                    rate = cloud_speeds[k]
-                else:
-                    ok = grant_downlink(k, o)
-                    rate = 1.0
-                if ok:
-                    granted.append(True)
-                    p_o.append(o)
-                    p_k.append(k)
-                    p_rate.append(rate)
-                    exhausted = ledger.exhausted
+                if not grant_downlink(k, origin[j]):
                     continue
-            granted.append(False)
-            p_o.append(-1)
-            p_k.append(-1)
-            p_rate.append(0.0)
+                act = ACT_DOWNLINK
+                rate = 1.0
+            ja.append(j)
+            aa.append(act)
+            ra.append(rate)
+            if ledger.exhausted:
+                break
+        return ja, aa, ra
 
     # -- result ----------------------------------------------------------------
 

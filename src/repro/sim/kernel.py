@@ -2,17 +2,18 @@
 
 The middle layer of the sim-core.  Given the engine's *active set* —
 parallel lists of (job, activity, rate) in grant order — the kernel
-answers the three numeric questions of a simulation step:
+answers the two numeric questions of a simulation step:
 
-* which activity each assigned job *requests* right now
-  (:meth:`ActivityKernel.request_kinds`, the columnar form of
-  :meth:`repro.sim.state.SimState.phase`);
 * how far away the next activity completion is
   (:meth:`ActivityKernel.time_to_completion`, one ``rem / rate`` per
   active entry);
 * what remains after advancing ``dt`` (:meth:`ActivityKernel.advance`,
   one ``rem -= rate * dt`` per active entry, with snap-to-zero at the
   per-job completion tolerances).
+
+Which activity each entry requests is decided by the engine's grant
+pass, which reads it off the remaining amounts as it grants
+(``Engine._activate``, the rule of :meth:`SimState.phase`).
 
 Each method takes plain lists and returns a list, and the remaining
 amounts and tolerances it reads are the :class:`SimState` lists of
@@ -25,9 +26,7 @@ path").
 from __future__ import annotations
 
 from repro.core.instance import Instance
-from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK
-from repro.sim.state import ALLOC_CLOUD, SimState
-from repro.util.float_cmp import DEFAULT_ABS_TOL
+from repro.sim.state import SimState
 
 #: Completion tolerance: an activity with less than this much remaining
 #: (relative to its total amount) is considered finished.
@@ -45,31 +44,6 @@ class ActivityKernel:
         self.up_tol = [max(1.0, x) * _REL_TOL for x in instance.up.tolist()]
         self.work_tol = [max(1.0, x) * _REL_TOL for x in instance.work.tolist()]
         self.dn_tol = [max(1.0, x) * _REL_TOL for x in instance.dn.tolist()]
-
-    def request_kinds(self, jobs: list, kinds: list) -> list:
-        """Activity code each assigned job requests in its current attempt.
-
-        ``jobs`` / ``kinds`` are the decision's columns; the result
-        holds :data:`ACT_UPLINK` / :data:`ACT_COMPUTE` /
-        :data:`ACT_DOWNLINK` per position.  Mirrors
-        :meth:`SimState.phase` (zero-length communications skipped; edge
-        attempts compute only), minus the DONE case — completed jobs
-        cannot appear in a well-formed decision.
-        """
-        rem_up = self.state.rem_up
-        rem_work = self.state.rem_work
-        out = []
-        for j, k in zip(jobs, kinds):
-            if k == ALLOC_CLOUD:
-                if rem_up[j] > DEFAULT_ABS_TOL:
-                    out.append(ACT_UPLINK)
-                elif rem_work[j] > DEFAULT_ABS_TOL:
-                    out.append(ACT_COMPUTE)
-                else:
-                    out.append(ACT_DOWNLINK)
-            else:
-                out.append(ACT_COMPUTE)
-        return out
 
     def time_to_completion(self, jobs: list, acts: list, rates: list) -> list:
         """Remaining duration ``rem / rate`` of every active activity."""

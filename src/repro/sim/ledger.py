@@ -1,20 +1,17 @@
-"""The resource ledger: grant state for one decision round and across rounds.
+"""The resource ledger: grant state for one decision round.
 
 The model's resources are exclusive within a time step: each edge unit
 has one compute slot, one send port and one receive port; each cloud
 processor has one compute slot, one receive port and one send port
 (one-port full-duplex, §III).  The ledger owns those booleans and the
-grant/release bookkeeping the engine's activation pass runs on.
+grant bookkeeping the engine's activation pass runs on.
 
-Two usage modes:
-
-* ``begin_round()`` resets everything to free and the engine re-grants
-  from scratch in decision priority order (the always-correct path);
-* the *incremental* path keeps grants from the previous round and only
-  :meth:`release`\\ s the entries whose request changed — the engine
-  uses it when the head of the decision is unchanged since the last
-  step, so activation re-evaluates only the decision suffix that the
-  last event batch could have affected.
+A round starts with :meth:`~ResourceLedger.begin_round`, which marks
+every resource free; the engine then pre-claims what is down
+(:meth:`~ResourceLedger.block_from_outlook` or
+:meth:`~ResourceLedger.block`) and grants the decision's requests in
+priority order.  :meth:`~ResourceLedger.release` hands one grant back;
+the engine never needs it, since it re-grants every round from scratch.
 
 Free-slot counters back :attr:`exhausted`, which lets the activation
 scan stop as soon as no grant of any kind can succeed anymore.
@@ -94,7 +91,7 @@ class ResourceLedger:
     # slots/ports are marked taken before the grant scan runs, so no
     # activity can be granted on it and the `exhausted` early-exit stays
     # exact.  Only valid right after `begin_round()` (the engine blocks
-    # down resources at the start of every from-scratch round).
+    # down resources at the start of every round).
 
     def block_edge(self, j: int) -> None:
         """Mark crashed edge unit ``j`` fully unusable for this round."""
@@ -125,15 +122,27 @@ class ResourceLedger:
             self.cloud_compute[k] = False
             self._free_cloud_compute -= 1
 
-    def block_from_outlook(self, outlook, t: float) -> None:
+    def block_from_outlook(self, outlook, t: float) -> tuple[list, list, list, list]:
         """Pre-claim everything the capacity outlook says is down at ``t``.
 
-        The one entry point the engine uses at the start of a
-        from-scratch round: crashed resources are blocked whole, clouds
-        inside a static co-tenancy window compute-only.  Only valid
-        right after :meth:`begin_round`.
+        Blocks the answer of
+        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_at` (see
+        :meth:`block`) and returns it, so a caller can re-block the same
+        down-set in later rounds of the same constancy interval.  Only
+        valid right after :meth:`begin_round`.
         """
-        edges, clouds, links, busy = outlook.blocked_at(t)
+        blocked = outlook.blocked_at(t)
+        self.block(blocked)
+        return blocked
+
+    def block(self, blocked: tuple[list, list, list, list]) -> None:
+        """Pre-claim the down-set ``(edges, clouds, links, cloud_compute_only)``.
+
+        Crashed edge units and cloud processors are blocked whole,
+        downed links both ports, and clouds inside a static co-tenancy
+        window compute-only.  Only valid right after :meth:`begin_round`.
+        """
+        edges, clouds, links, busy = blocked
         for j in edges:
             self.block_edge(j)
         for k in clouds:
@@ -190,7 +199,7 @@ class ResourceLedger:
             return True
         return False
 
-    # -- releases (the incremental path) ---------------------------------------
+    # -- releases --------------------------------------------------------------
 
     def release(self, act: int, o: int, k: int) -> None:
         """Return the resources of one granted activity.

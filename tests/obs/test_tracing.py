@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.faults import FaultClassParams, exponential_fault_trace
+from repro.io.json_format import schedule_to_dict
 from repro.obs.tracing import (
     TRACE_SCHEMA,
     RunTracer,
@@ -18,8 +19,10 @@ from repro.obs.tracing import (
     write_trace_jsonl,
 )
 from repro.schedulers.registry import make_scheduler
-from repro.sim.engine import simulate
+from repro.sim.engine import Engine, simulate
 from repro.sim.hooks import make_hooks
+from repro.sim.trace import TraceRecorder
+from repro.util.jsonl import dumps
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
 #: The keys each trace body line must carry (what ``repro-trace`` reads).
@@ -212,6 +215,39 @@ class TestZeroCostWhenDisabled:
         assert sched._provenance is True
         simulate(inst, sched)
         assert sched._provenance is False
+
+
+class TestOneAttemptRecord:
+    """A run with a tracer keeps one attempt record, the tracer's."""
+
+    def test_tracer_is_the_only_recorder(self):
+        inst = small_instance(n=30, seed=3)
+        faults = renewal_faults(inst)
+        tracer = RunTracer()
+        engine = Engine(inst, make_scheduler("ssf-edf"), faults=faults, hooks=[tracer])
+        assert engine.recorder is tracer
+        for callbacks in (
+            engine.hooks.assign, engine.hooks.step, engine.hooks.abort, engine.hooks.complete
+        ):
+            recorders = [cb.__self__ for cb in callbacks if isinstance(cb.__self__, TraceRecorder)]
+            assert recorders == [tracer]
+        traced = engine.run()
+        plain = simulate(inst, make_scheduler("ssf-edf"), faults=faults)
+        assert dumps(schedule_to_dict(traced.schedule)) == dumps(schedule_to_dict(plain.schedule))
+
+    def test_first_recorder_among_hooks_is_adopted(self):
+        first, second = TraceRecorder(), RunTracer()
+        engine = Engine(small_instance(), make_scheduler("fcfs"), hooks=[first, second])
+        assert engine.recorder is first
+        assert [h for h in engine.hooks.hooks if isinstance(h, TraceRecorder)] == [first, second]
+
+    def test_tracer_without_record_trace_returns_no_schedule(self):
+        inst = small_instance()
+        tracer = RunTracer()
+        result = simulate(inst, make_scheduler("ssf-edf"), record_trace=False, hooks=[tracer])
+        assert result.schedule is None
+        # The tracer still records the run it was attached to.
+        assert len(tracer.payload()["jobs"]) == inst.n_jobs
 
 
 class TestJsonlRoundtrip:

@@ -5,7 +5,6 @@ directly against hand-computed priorities and placements on frozen
 simulator states, catching bugs that outcome metrics can mask.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.instance import Instance
@@ -155,6 +154,6 @@ class TestSsfEdfDecisions:
         _, _, view, events = frozen_view(platform, jobs)
         scheduler = SsfEdfScheduler()
         scheduler.decide(view, events)
-        saved = scheduler._deadline_arr.copy()
+        saved = list(scheduler._deadlines)
         scheduler.decide(view, [])  # non-release event
-        assert np.array_equal(scheduler._deadline_arr, saved)
+        assert scheduler._deadlines == saved

@@ -81,11 +81,15 @@ def _faults(instance: Instance, seed: int):
     )
 
 
+def _bits(column: list) -> tuple:
+    """A list column's element types and exact values."""
+    return tuple((type(x), x.hex() if isinstance(x, float) else x) for x in column)
+
+
 def _columns(res) -> tuple:
     """Everything a caller reads off a placement, bitwise."""
     return (
-        tuple((a.dtype.str, a.tobytes()) for a in (res.jobs, res.kinds, res.indices)),
-        (res.completions.dtype.str, res.completions.tobytes()),
+        tuple(_bits(c) for c in (res.jobs, res.kinds, res.indices, res.completions)),
         res.feasible,
         res.complete,
     )
@@ -116,7 +120,8 @@ class PruneProbe(BaseScheduler):
     def decide(self, view, events):
         live = view.live_jobs()
         if live.size:
-            self.alloc_seen.update(view.alloc_kind[j] for j in live.tolist())
+            live_l = live.tolist()
+            self.alloc_seen.update(view.alloc_kind[j] for j in live_l)
             self.floored |= bool(self.kernel.floor_report(view.now))
             inst = view.instance
             release = inst.release[live]
@@ -128,17 +133,18 @@ class PruneProbe(BaseScheduler):
             ]
             draws.append(np.floor(release + self.rng.integers(1, 30, size=live.size)))
             for deadlines in draws:
+                deadlines_l = deadlines.tolist()
                 for short_circuit in (False, True):
                     pruned = self.kernel.place(
-                        view, live, deadlines, short_circuit=short_circuit
+                        view, live_l, deadlines_l, short_circuit=short_circuit
                     )
                     full = self.kernel.place(
-                        view, live, deadlines, short_circuit=short_circuit, explain=True
+                        view, live_l, deadlines_l, short_circuit=short_circuit, explain=True
                     )
                     self.calls += 1
                     self.outcomes.add((pruned.feasible, pruned.complete))
                     if _columns(pruned) != _columns(full):
-                        self.mismatches.append((view.now, short_circuit, deadlines.tolist()))
+                        self.mismatches.append((view.now, short_circuit, deadlines_l))
         return self.inner.decide(view, events)
 
 

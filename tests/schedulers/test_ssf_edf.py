@@ -26,13 +26,13 @@ class TestConstruction:
 
     def test_start_resets_state(self):
         # Every piece of per-run state must be wiped: the ratchet, the
-        # deadline array, the search hint, and the whole reuse cache —
+        # deadline list, the search hint, and the whole reuse cache —
         # a leak would poison the next run of a reused scheduler object.
         s = SsfEdfScheduler()
         s._stretch_so_far = 5.0
         s._hint = 4.5
         s._has_deadlines = True
-        s._cache_live_bytes = b"stale"
+        s._cache_live = [7]
         s._cache_epoch = 99
         s._cache_placed = object()
         s._cache = object()
@@ -48,9 +48,9 @@ class TestConstruction:
         assert s._cache is None
         assert s._cache_seed is None
         assert s._cache_placed is None
-        assert s._cache_live_bytes == b""
+        assert s._cache_live == []
         assert s._cache_epoch == -1
-        assert np.all(s._deadline_arr == 0.0)
+        assert s._deadlines == [0.0]
         assert s._kernel is not None and s._kernel.instance is inst
 
 
@@ -123,8 +123,8 @@ class TestEdfPlacement:
         jobs = [Job(origin=0, work=2.0, up=1.0, dn=1.0) for _ in range(4)]
         inst = Instance.create(platform, jobs)
         view = self._view(inst)
-        live = np.arange(4)
-        placement, completions, _ = _edf_placement(view, live, np.arange(4, dtype=float))
+        live = [0, 1, 2, 3]
+        placement, completions, _ = _edf_placement(view, live, [0.0, 1.0, 2.0, 3.0])
         assert sorted(j for j, _ in placement) == [0, 1, 2, 3]
         assert len(completions) == 4
 
@@ -133,8 +133,8 @@ class TestEdfPlacement:
         jobs = [Job(origin=0, work=2.0) for _ in range(3)]
         inst = Instance.create(platform, jobs)
         view = self._view(inst)
-        deadlines = np.array([5.0, 1.0, 3.0])
-        placement, _, _ = _edf_placement(view, np.arange(3), deadlines)
+        deadlines = [5.0, 1.0, 3.0]
+        placement, _, _ = _edf_placement(view, [0, 1, 2], deadlines)
         assert [j for j, _ in placement] == [1, 2, 0]
 
     def test_placement_respects_port_reservations(self):
@@ -144,9 +144,7 @@ class TestEdfPlacement:
         jobs = [Job(origin=0, work=1.0, up=3.0, dn=0.0) for _ in range(2)]
         inst = Instance.create(platform, jobs)
         view = self._view(inst)
-        placement, completions, _ = _edf_placement(
-            view, np.arange(2), np.array([1.0, 2.0])
-        )
+        placement, completions, _ = _edf_placement(view, [0, 1], [1.0, 2.0])
         assert completions[0] == pytest.approx(4.0)
         assert completions[1] == pytest.approx(7.0)
 
@@ -155,8 +153,8 @@ class TestEdfPlacement:
         jobs = [Job(origin=0, work=2.0), Job(origin=0, work=2.0)]
         inst = Instance.create(platform, jobs)
         view = self._view(inst)
-        _, _, ok_loose = _edf_placement(view, np.arange(2), np.array([10.0, 10.0]))
-        _, _, ok_tight = _edf_placement(view, np.arange(2), np.array([2.0, 2.0]))
+        _, _, ok_loose = _edf_placement(view, [0, 1], [10.0, 10.0])
+        _, _, ok_tight = _edf_placement(view, [0, 1], [2.0, 2.0])
         assert ok_loose
         assert not ok_tight
 

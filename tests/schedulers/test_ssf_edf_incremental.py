@@ -8,7 +8,6 @@ requires byte-identical outcomes — including under fault injection,
 where aborted attempts must invalidate the cache.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.instance import Instance
@@ -154,7 +153,7 @@ class TestStayTieBreak:
         state = SimState(inst)
         state.assign(0, cloud(0))
         view = SimulationView(state, CloudAvailability.always_available())
-        placement, _, _ = _edf_placement(view, np.arange(1), np.array([100.0]))
+        placement, _, _ = _edf_placement(view, [0], [100.0])
         assert placement == [(0, cloud(0))]
 
     def test_partial_progress_stays_put(self):
@@ -166,7 +165,7 @@ class TestStayTieBreak:
         state.assign(0, cloud(1))
         state.rem_up[0] = 0.5
         view = SimulationView(state, CloudAvailability.always_available())
-        placement, _, _ = _edf_placement(view, np.arange(1), np.array([100.0]))
+        placement, _, _ = _edf_placement(view, [0], [100.0])
         assert placement == [(0, cloud(1))]
 
     def test_no_gratuitous_reexecutions_on_symmetric_clouds(self):

@@ -1,6 +1,9 @@
-"""Unit tests for the resource ledger (grant/release/exhausted)."""
+"""Unit tests for the resource ledger (grant/release/exhausted/block)."""
 
+from repro.capacity.outlook import CapacityOutlook
+from repro.core.intervals import Interval
 from repro.core.platform import Platform
+from repro.faults.trace import FaultTrace
 from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK, ResourceLedger
 
 
@@ -130,3 +133,39 @@ class TestExhausted:
         assert led.exhausted
         led.release(ACT_COMPUTE, 0, -1)
         assert not led.exhausted
+
+
+class TestBlock:
+    def test_block_claims_the_down_set(self):
+        # Edge 0 and cloud 1 crashed, edge 1's link down, cloud 0
+        # inside a co-tenancy window.
+        led = ledger(n_edge=3, n_cloud=2)
+        led.block(([0], [1], [1], [0]))
+        assert not led.grant_edge_compute(0)
+        assert not led.grant_cloud_compute(1)
+        # Co-tenancy takes the compute slot only.
+        assert not led.grant_cloud_compute(0)
+        assert not led.grant_uplink(0, 0)  # edge 0's ports died with it
+        assert not led.grant_uplink(1, 0)  # edge 1's link is down
+        assert not led.grant_uplink(2, 1)  # cloud 1's ports died with it
+        assert led.grant_edge_compute(1)
+        assert led.grant_uplink(2, 0)
+        assert led.grant_downlink(0, 2)
+
+    def test_block_from_outlook_returns_the_blocked_set(self):
+        platform = Platform.create([0.5] * 2, n_cloud=2)
+        faults = FaultTrace(
+            edge_down={1: (Interval(1.0, 3.0),)}, cloud_down={0: (Interval(0.0, 2.0),)}
+        )
+        outlook = CapacityOutlook(platform, faults=faults)
+        led = ResourceLedger(platform)
+        blocked = led.block_from_outlook(outlook, 1.5)
+        assert blocked == ([1], [0], [], [])
+        # Re-blocking the returned set on a fresh round blocks the same.
+        again = ResourceLedger(platform)
+        again.block(blocked)
+        for lg in (led, again):
+            assert not lg.grant_edge_compute(1)
+            assert not lg.grant_cloud_compute(0)
+            assert lg.grant_edge_compute(0)
+            assert lg.grant_cloud_compute(1)
