@@ -8,9 +8,9 @@ with ``Engine._activate``:
 
 * a fresh :class:`ResourceLedger` per step;
 * each entry's activity from :meth:`SimState.phase`;
-* the blocked set from a separate :class:`CapacityOutlook` on the same
-  platform, windows and fault trace, so the run's own counters do not
-  move;
+* the blocked set from :meth:`FaultTrace.down_at` and each window's
+  :meth:`CloudAvailability.is_available`, not from the
+  :class:`CapacityOutlook` whose cache the engine blocks from;
 * every entry of the decision scanned in order, with no early exit.
 
 The cases cover faults with availability windows, checkpoints with a
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.capacity.outlook import CapacityOutlook
 from repro.core.instance import Instance
 from repro.core.intervals import Interval
 from repro.core.job import Job
@@ -48,7 +47,8 @@ class GrantReference(EngineHooks):
     def on_start(self, view) -> None:
         self.state = view._state
         self.platform = view.platform
-        self.outlook = CapacityOutlook(view.platform, view.availability, view.faults)
+        self.faults = view.faults
+        self.availability = view.availability
         self.steps = 0
         self.denied_steps = 0
         self.all_clouds_down_steps = 0
@@ -62,7 +62,10 @@ class GrantReference(EngineHooks):
         platform = self.platform
         origin = state.instance.origin
         ledger = ResourceLedger(platform)
-        edges, clouds, links, busy = self.outlook.blocked_at(state.now)
+        now = state.now
+        edges, clouds, links = self.faults.down_at(now)
+        av = self.availability
+        busy = [k for k in sorted(av.windows) if not av.is_available(k, now)]
         for j in edges:
             ledger.block_edge(j)
         for k in clouds:
