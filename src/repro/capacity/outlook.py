@@ -56,7 +56,7 @@ class ExpectationDiscount:
     fails); ``*_mttr`` the expected remaining repair of a currently-down
     resource (memoryless exponential repair, so the expectation does not
     depend on how long the resource has been down); ``*_mtbf`` the mean
-    up-time, used by the expected-rework integral.
+    up-time, the argument of :func:`expected_rework`.
     """
 
     edge_availability: float = 1.0
@@ -82,45 +82,25 @@ class ExpectationDiscount:
                 kw[f"{name}_mtbf"] = cl.mtbf
         return cls(**kw)
 
-    def availability_of(self, domain: str) -> float:
-        """Steady-state available fraction of ``domain``."""
-        return {
-            DOMAIN_EDGE: self.edge_availability,
-            DOMAIN_CLOUD: self.cloud_availability,
-            DOMAIN_LINK: self.link_availability,
-        }[domain]
-
-    def recovery_of(self, domain: str) -> float:
-        """Expected remaining repair time of a down resource of ``domain``."""
-        return {
-            DOMAIN_EDGE: self.edge_mttr,
-            DOMAIN_CLOUD: self.cloud_mttr,
-            DOMAIN_LINK: self.link_mttr,
-        }[domain]
-
-    def expected_rework(self, duration: float, domain: str) -> float:
-        """Expected busy time to finish ``duration`` under restart-on-crash.
-
-        With failures arriving at rate ``1/mtbf`` and progress lost on
-        each crash, the classic renewal argument gives
-        ``mtbf * (e^{duration/mtbf} - 1)`` expected processing time —
-        superlinear in ``duration``, which is why long jobs should avoid
-        failure-prone resources disproportionately.  Repair time is not
-        included (the availability factor already accounts for it in
-        expectation).
-        """
-        mtbf = {
-            DOMAIN_EDGE: self.edge_mtbf,
-            DOMAIN_CLOUD: self.cloud_mtbf,
-            DOMAIN_LINK: self.link_mtbf,
-        }[domain]
-        if not math.isfinite(mtbf):
-            return duration
-        return mtbf * math.expm1(duration / mtbf)
-
 
 #: The identity discount (no fault model): rates and floors untouched.
 NO_DISCOUNT = ExpectationDiscount()
+
+
+def expected_rework(t: float, mtbf: float) -> float:
+    """Expected wall time of a ``t``-long uninterrupted exposure.
+
+    With failures arriving at rate ``1/mtbf`` and progress lost on each
+    crash, the classic renewal argument gives
+    ``E[T] = mtbf * (e^{t/mtbf} - 1)`` expected processing time:
+    superlinear in ``t``, which is why long jobs should avoid
+    failure-prone resources disproportionately, and ``t`` itself as
+    ``mtbf → ∞``.  Repair time is not included (the availability factor
+    already accounts for it in expectation).
+    """
+    if t <= 0.0 or mtbf == _INF:
+        return t
+    return mtbf * math.expm1(t / mtbf)
 
 
 def _check_trace_fits(faults: FaultTrace, platform: Platform) -> None:
@@ -143,7 +123,9 @@ class CapacityOutlook:
     One outlook is built per run (the inputs — platform, windows, trace,
     discount — are all immutable) and shared by every consumer.
     ``n_queries`` counts the public capacity queries served, which the
-    scheduler telemetry exports as ``scheduler.outlook_queries``.
+    scheduler telemetry exports as ``scheduler.outlook_queries``; a
+    :meth:`blocked_at` answer served from its cache counts in
+    ``n_delta_updates`` instead.
     """
 
     __slots__ = (
@@ -200,10 +182,11 @@ class CapacityOutlook:
         self._has_windows = bool(self.availability.windows)
         self._has_faults = not self.faults.is_empty
         self._win_clouds = tuple(sorted(self.availability.windows))
-        #: Delta cache of :meth:`blocked_at`: the composed down-state is
-        #: piecewise constant between fault/window boundaries, so one
-        #: scan per constancy interval suffices.  ``n_delta_updates``
-        #: counts the queries served from the cache (exported as
+        #: Delta cache of :meth:`blocked_at`, the run's one cache of the
+        #: down-set: the composed down-state is piecewise constant
+        #: between fault/window boundaries, so one scan per constancy
+        #: interval suffices.  ``n_delta_updates`` counts the answers
+        #: served from the cache (exported as
         #: ``scheduler.outlook_delta_updates``).
         self.n_delta_updates = 0
         self._blocked_key: tuple[int, int] | None = None
@@ -267,12 +250,10 @@ class CapacityOutlook:
 
         Equal keys guarantee equal :meth:`blocked_at` answers (both the
         fault trace's down-state and window membership are piecewise
-        constant on half-open intervals), so consumers can use key
-        equality as an exact "the blocked set did not change" test —
-        the engine's activation re-blocks the down-set of its last
-        answer, without a query, while this key is unchanged.  Not
-        counted as a capacity query: it reads the boundary indices, not
-        the state.
+        constant on half-open intervals), so :meth:`blocked_at` uses key
+        equality as its exact "the blocked set did not change" test.
+        Not counted as a capacity query: it reads the boundary indices,
+        not the state.
         """
         fk = self.faults.interval_key(t) if self._has_faults else 0
         wk = self.availability.interval_key(t) if self._has_windows else 0
@@ -288,20 +269,23 @@ class CapacityOutlook:
         co-tenancy window (their ports stay usable).  This is the set
         the engine blocks in the ledger at every activation round.
 
-        Served from the delta cache when ``t`` falls in the same
-        constancy interval as the previous query (see
-        :meth:`blocked_key`); callers must treat the lists as
-        read-only.  On a fault-key change the down-state is swept
-        forward over the trace's transitions crossed since the previous
-        answer (see :meth:`FaultTrace.transition_rows`), never re-probed
-        per resource; each answer holds fresh lists, so answers handed
+        When ``t`` falls in the same constancy interval as the previous
+        call (see :meth:`blocked_key`), the answer is the very tuple of
+        the previous one, counted as one ``n_delta_updates`` and no
+        ``n_queries``; so a consumer tells an unchanged down-set by
+        identity (``is``), and callers must treat the lists as
+        read-only.  Otherwise the call is a query, and on a fault-key
+        change the down-state is swept forward over the trace's
+        transitions crossed since the previous answer (see
+        :meth:`FaultTrace.transition_rows`), never re-probed per
+        resource; each new answer holds fresh lists, so answers handed
         out earlier never change.
         """
-        self.n_queries += 1
         key = self.blocked_key(t)
         if key == self._blocked_key:
             self.n_delta_updates += 1
             return self._blocked_cache
+        self.n_queries += 1
         if key[0] != self._fault_key:
             self._sweep_faults(key[0])
         busy: list[int] = []

@@ -224,10 +224,10 @@ class FaultTrace:
 
         The trace's down-state is piecewise constant between boundaries,
         and down intervals are half-open, so :meth:`down_at` returns the
-        same sets for any two instants with equal keys.  Consumers (the
-        capacity outlook's delta cache, the engine's activation rounds)
-        use key equality as the exact "nothing changed" predicate
-        instead of re-deriving the down-state.
+        same sets for any two instants with equal keys.  The capacity
+        outlook's down-set cache uses key equality as the exact
+        "nothing changed" predicate instead of re-deriving the
+        down-state.
         """
         return bisect_right(self._boundaries, t)
 
@@ -258,8 +258,11 @@ class FaultTrace:
     def down_at(self, t: float) -> tuple[list[int], list[int], list[int]]:
         """Indices of (edge units, cloud processors, links) down at ``t``.
 
-        Each list is ascending; used by the engine to block the ledger
-        at the start of an activation round.
+        Each list is ascending.  A point query that bisects each
+        resource's intervals: the engine blocks its ledger from the
+        capacity outlook's sweep instead, and tests use this as the
+        independent reference for that sweep and for every activation
+        round's grants.
         """
         ei, ci, li = self._sorted_idx
         edges = [j for j in ei if self._down_fast(0, j, t)]

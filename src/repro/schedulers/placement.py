@@ -34,10 +34,10 @@ floating-point comparisons — and invalidates on any divergence (see
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
+from repro.capacity.outlook import expected_rework
 from repro.sim.events import EventKind
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 from repro.sim.view import SimulationView
@@ -73,7 +73,8 @@ class PlacementStats:
     down-state answers served from the outlook's constancy-interval
     delta cache instead of a fresh scan; ``partial_rebuilds`` the
     reservation-floor refreshes rebuilt from the kernel's cached
-    recipe (no outlook queries at all); ``epoch_invalidations`` the
+    recipe (the outlook served the same down-set from its cache, so no
+    floor queries); ``epoch_invalidations`` the
     cross-event replays abandoned because a fault/availability
     boundary bumped the fault epoch since the cache was established.
     """
@@ -293,21 +294,20 @@ class EdfPlacementKernel:
         self._floor_cc: list[float] = []
         self._floor_cr: list[float] = []
         self._floor_cs: list[float] = []
-        #: Blocked-resource lists behind the floors above, kept for
-        #: :meth:`floor_report` (no extra outlook queries at report time).
+        #: The outlook's down-set answer behind the floors above, kept
+        #: for :meth:`floor_report` (no extra outlook queries at report
+        #: time), plus the floor recipe derived from it: down-cloud
+        #: membership and the end of the window containing ``now`` per
+        #: blocked cloud.  While the outlook hands back this very tuple
+        #: the floors are rebuilt from the recipe with the outlook
+        #: queries' exact arithmetic (partial rebuild); a new answer —
+        #: some resource transitioned — re-derives it.
         self._floor_blocked: tuple[list[int], list[int], list[int], list[int]] = (
             [],
             [],
             [],
             [],
         )
-        #: Constancy-interval key of the cached floor recipe, plus the
-        #: recipe itself: down-cloud membership and the end of the
-        #: window containing ``now`` per blocked cloud.  While the key
-        #: is unchanged the floors are rebuilt from this recipe with
-        #: the outlook queries' exact arithmetic (partial rebuild); a
-        #: key change — some resource transitioned — re-derives it.
-        self._floor_key: tuple[int, int] | None = None
         self._floor_down_clouds: frozenset[int] = frozenset()
         self._floor_win_end: dict[int, float] = {}
         #: Floor refreshes served from the cached recipe (exported as
@@ -316,11 +316,6 @@ class EdfPlacementKernel:
         #: Constructive passes served from a per-decision order cache
         #: (exported as ``scheduler.pass_reuses``; see :meth:`place`).
         self.pass_reuses = 0
-        #: Copies of the last (live, deadlines) lists and their EDF
-        #: order — the sort is skipped entirely when both are unchanged
-        #: (every non-release rebuild between live-set changes, repeated
-        #: probes).
-        self._order_mem: tuple[list[int], list[float], list[int]] | None = None
 
         # Static per-job quantities, precomputed once from the outlook's
         # effective rates.  Undiscounted, the divisions are the exact
@@ -347,37 +342,25 @@ class EdfPlacementKernel:
         self._edge_dur_l = (instance.work / edge_speeds[instance.origin]).tolist()
         self._edge_speeds_l = edge_speeds.tolist()
 
-    @staticmethod
-    def _rw_time(t: float, mtbf: float) -> float:
-        """Expected wall time of a ``t``-long uninterrupted exposure.
-
-        Exponential failures at rate ``1/mtbf`` with restart from
-        scratch: ``E[T] = mtbf * (exp(t / mtbf) - 1)``, which tends to
-        ``t`` as ``mtbf → ∞`` and grows exponentially in ``t / mtbf``.
-        """
-        if t <= 0.0 or mtbf == _INF:
-            return t
-        return mtbf * math.expm1(t / mtbf)
-
     def _rw_compute(self, t: float, mtbf: float, speed: float) -> float:
         """Expected compute time for a ``t``-long exposure on ``speed``.
 
         Without a periodic commit interval this is the unsplit
-        expectation of :meth:`_rw_time`.  With one, the exposure can be
-        committed every ``interval`` work units at ``commit_cost`` extra
-        work, so the job is also priced as ``t / (interval / speed)``
-        fractional chunks of ``(interval + cost) / speed`` time each —
-        and the cheaper of the two prices wins (the long-job split
-        rule: splitting pays exactly when expected rework exceeds the
-        total commit overhead).
+        expectation of :func:`~repro.capacity.outlook.expected_rework`.
+        With one, the exposure can be committed every ``interval`` work
+        units at ``commit_cost`` extra work, so the job is also priced
+        as ``t / (interval / speed)`` fractional chunks of
+        ``(interval + cost) / speed`` time each — and the cheaper of the
+        two prices wins (the long-job split rule: splitting pays exactly
+        when expected rework exceeds the total commit overhead).
         """
-        full = self._rw_time(t, mtbf)
+        full = expected_rework(t, mtbf)
         interval = self._rw_interval
         if interval is None or t <= 0.0 or mtbf == _INF:
             return full
         chunk = (interval + self._rw_cost) / speed
         chunks = t * speed / interval
-        split = chunks * self._rw_time(chunk, mtbf)
+        split = chunks * expected_rework(chunk, mtbf)
         return split if split < full else full
 
     def _cloud_floor_cached(self, k: int, now: float) -> float:
@@ -387,7 +370,7 @@ class EdfPlacementKernel:
         for instants inside the cached constancy interval: same
         ``now + mttr`` expression for a down processor, same
         window-end max — membership and window ends cannot have
-        changed while the key is unchanged.
+        changed while the outlook serves the same down-set.
         """
         f = now + self.outlook.discount.cloud_mttr if k in self._floor_down_clouds else now
         end = self._floor_win_end.get(k)
@@ -398,13 +381,15 @@ class EdfPlacementKernel:
     def _refresh_floors(self, now: float) -> None:
         """Recompute the expected-recovery floors for decision instant ``now``.
 
+        Runs only in failure-aware mode, whose outlook is discounted.
         Floors are piecewise *affine* in ``now`` between fault/window
-        boundaries, so when the outlook's constancy key is unchanged
-        the refresh is a partial rebuild: the cached blocked set and
-        per-cloud recipe replay the outlook queries' arithmetic
-        bit-identically without touching the outlook.  Only a key
-        change — some resource actually transitioned — pays the full
-        down-state scan and per-resource queries again.
+        boundaries, so while the outlook hands back the very down-set
+        tuple it answered last (its cache, see
+        :meth:`CapacityOutlook.blocked_at`) the refresh is a partial
+        rebuild: the cached per-cloud recipe replays the floor queries'
+        arithmetic bit-identically without querying the outlook.  Only
+        a new answer — some resource actually transitioned — pays the
+        per-resource queries again.
         """
         if now == self._floor_now:
             return
@@ -416,29 +401,11 @@ class EdfPlacementKernel:
         cc = [now] * self.n_cloud
         cr = [now] * self.n_cloud
         cs = [now] * self.n_cloud
-        key = outlook.blocked_key(now)
-        discounted = outlook.discounted
-        partial = key == self._floor_key
-        if partial:
+        blocked = outlook.blocked_at(now)
+        edges, clouds, links, busy = blocked
+        if blocked is self._floor_blocked:
             self.partial_rebuilds += 1
-            outlook.n_delta_updates += 1
-            edges, clouds, links, busy = self._floor_blocked
-        else:
-            edges, clouds, links, busy = outlook.blocked_at(now)
-            self._floor_blocked = (edges, clouds, links, busy)
-            self._floor_key = key
-            self._floor_down_clouds = frozenset(clouds)
-            win_end: dict[int, float] = {}
-            if discounted:
-                windows = outlook.availability.windows
-                for k in clouds if not busy else {*clouds, *busy}:
-                    for iv in windows.get(k, ()):
-                        if iv.contains_time(now):
-                            win_end[k] = iv.end
-                            break
-            self._floor_win_end = win_end
-        if partial and discounted:
-            d = self.outlook.discount
+            d = outlook.discount
             for j in edges:
                 f = now + d.edge_mttr
                 ec[j] = f
@@ -460,7 +427,17 @@ class EdfPlacementKernel:
                 f = self._cloud_floor_cached(k, now)
                 if f > cc[k]:
                     cc[k] = f
-        elif not partial:
+        else:
+            self._floor_blocked = blocked
+            self._floor_down_clouds = frozenset(clouds)
+            win_end: dict[int, float] = {}
+            windows = outlook.availability.windows
+            for k in clouds if not busy else {*clouds, *busy}:
+                for iv in windows.get(k, ()):
+                    if iv.contains_time(now):
+                        win_end[k] = iv.end
+                        break
+            self._floor_win_end = win_end
             for j in edges:
                 f = outlook.earliest_edge_start(j, now)
                 ec[j] = f
@@ -483,9 +460,6 @@ class EdfPlacementKernel:
                 f = outlook.earliest_cloud_start(k, now)
                 if f > cc[k]:
                     cc[k] = f
-        # partial and not discounted: every floor is exactly ``now``
-        # (the outlook queries would all return ``t``), which the
-        # fresh lists above already hold.
         self._floor_ec = ec
         self._floor_es = es
         self._floor_er = er
@@ -592,12 +566,7 @@ class EdfPlacementKernel:
         is set (rows are built only by a real pass).
         """
         now = view.now
-        mem = self._order_mem
-        if mem is not None and mem[0] == live and mem[1] == deadlines:
-            order = mem[2]
-        else:
-            order = sorted(range(len(live)), key=deadlines.__getitem__)
-            self._order_mem = (live[:], deadlines[:], order)
+        order = sorted(range(len(live)), key=deadlines.__getitem__)
         # Per-position miss tolerance in EDF order: the
         # ``dl + _TOL * (dl if dl > 1.0 else 1.0)`` IEEE expression of
         # the per-job check.
@@ -684,7 +653,7 @@ class EdfPlacementKernel:
             rw_edge = self._rw_edge_mtbf
             rw_cloud = self._rw_cloud_mtbf
             rw_link = self._rw_link_mtbf
-            rw_time = self._rw_time
+            rw_time = expected_rework
             rw_compute = self._rw_compute
 
         for pos, (i, dlt) in enumerate(zip(live_l, dlt_l)):

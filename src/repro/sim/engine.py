@@ -277,12 +277,6 @@ class Engine:
         # Set at run start from the view (shared, transparent outlook).
         self._outlook = None
 
-        #: Blocked-set key of the last activation round and the down-set
-        #: blocked in it (see :meth:`_activate`); unused without windows
-        #: and faults.
-        self._block_key: tuple[int, int] | None = None
-        self._blocked: tuple[list, list, list, list] | None = None
-
     def run(self) -> SimulationResult:
         """Execute the simulation to completion."""
         t0 = _time.perf_counter()
@@ -711,27 +705,17 @@ class Engine:
         current attempt (the rule of :meth:`SimState.phase`: zero-length
         communications are skipped, edge attempts only compute) and
         joins the active set iff every resource that activity needs is
-        still free.  The pass stops once the ledger is exhausted.
+        still free.
 
         With availability windows or a fault trace, the ledger is first
-        blocked for the down-state at ``now``.  That state is constant
-        between boundaries, so the outlook is asked for it only when
-        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_key`
-        changed since the previous round; a round with an unchanged key
-        re-blocks the lists of the last answer and counts one
-        ``n_delta_updates``, as a query served by key equality.
+        blocked for the down-state at ``now``, which the outlook serves
+        from its cache between boundaries (see
+        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_at`).
         """
         ledger = self.ledger
         ledger.begin_round()
         if self._has_windows or self._has_faults:
-            outlook = self._outlook
-            key = outlook.blocked_key(now)
-            if key != self._block_key:
-                self._block_key = key
-                self._blocked = ledger.block_from_outlook(outlook, now)
-            else:
-                outlook.n_delta_updates += 1
-                ledger.block(self._blocked)
+            ledger.block_from_outlook(self._outlook, now)
 
         rem_up = state.rem_up
         rem_work = state.rem_work
@@ -771,8 +755,6 @@ class Engine:
             ja.append(j)
             aa.append(act)
             ra.append(rate)
-            if ledger.exhausted:
-                break
         return ja, aa, ra
 
     # -- result ----------------------------------------------------------------

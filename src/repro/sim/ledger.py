@@ -8,13 +8,11 @@ grant bookkeeping the engine's activation pass runs on.
 
 A round starts with :meth:`~ResourceLedger.begin_round`, which marks
 every resource free; the engine then pre-claims what is down
-(:meth:`~ResourceLedger.block_from_outlook` or
-:meth:`~ResourceLedger.block`) and grants the decision's requests in
-priority order.  :meth:`~ResourceLedger.release` hands one grant back;
-the engine never needs it, since it re-grants every round from scratch.
-
-Free-slot counters back :attr:`exhausted`, which lets the activation
-scan stop as soon as no grant of any kind can succeed anymore.
+(:meth:`~ResourceLedger.block_from_outlook`) and grants the decision's
+requests in priority order.  :meth:`~ResourceLedger.release` hands one
+grant back and :attr:`~ResourceLedger.exhausted` tells whether any
+grant can still succeed; the engine needs neither, since it re-grants
+every round from scratch and an exhausted ledger grants nothing more.
 """
 
 from __future__ import annotations
@@ -39,12 +37,6 @@ class ResourceLedger:
         "cloud_compute",
         "cloud_recv",
         "cloud_send",
-        "_free_edge_compute",
-        "_free_cloud_compute",
-        "_free_edge_send",
-        "_free_edge_recv",
-        "_free_cloud_recv",
-        "_free_cloud_send",
     )
 
     def __init__(self, platform: Platform):
@@ -62,12 +54,6 @@ class ResourceLedger:
         self.cloud_compute = [True] * self.n_cloud
         self.cloud_recv = [True] * self.n_cloud
         self.cloud_send = [True] * self.n_cloud
-        self._free_edge_compute = self.n_edge
-        self._free_cloud_compute = self.n_cloud
-        self._free_edge_send = self.n_edge
-        self._free_edge_recv = self.n_edge
-        self._free_cloud_recv = self.n_cloud
-        self._free_cloud_send = self.n_cloud
 
     @property
     def exhausted(self) -> bool:
@@ -76,41 +62,34 @@ class ResourceLedger:
         Exact, not heuristic: every activity needs either a compute slot
         or a (send, recv) port pair, so when all compute slots are taken
         and each direction is missing at least one side of its pair,
-        scanning lower-priority requests cannot grant anything.
+        no request can be granted anymore.  Read off the booleans on
+        each access; the engine's grant pass never reads it.
         """
         return (
-            self._free_edge_compute == 0
-            and self._free_cloud_compute == 0
-            and (self._free_edge_send == 0 or self._free_cloud_recv == 0)
-            and (self._free_cloud_send == 0 or self._free_edge_recv == 0)
+            not any(self.edge_compute)
+            and not any(self.cloud_compute)
+            and (not any(self.edge_send) or not any(self.cloud_recv))
+            and (not any(self.cloud_send) or not any(self.edge_recv))
         )
 
     # -- fault blocking --------------------------------------------------------
     #
     # A down resource is modelled as pre-claimed for the round: its
     # slots/ports are marked taken before the grant scan runs, so no
-    # activity can be granted on it and the `exhausted` early-exit stays
-    # exact.  Only valid right after `begin_round()` (the engine blocks
-    # down resources at the start of every round).
+    # activity can be granted on it.  Only valid right after
+    # `begin_round()` (the engine blocks down resources at the start of
+    # every round).
 
     def block_edge(self, j: int) -> None:
         """Mark crashed edge unit ``j`` fully unusable for this round."""
-        if self.edge_compute[j]:
-            self.edge_compute[j] = False
-            self._free_edge_compute -= 1
+        self.edge_compute[j] = False
         self.block_link(j)
 
     def block_cloud(self, k: int) -> None:
         """Mark crashed cloud processor ``k`` fully unusable for this round."""
-        if self.cloud_compute[k]:
-            self.cloud_compute[k] = False
-            self._free_cloud_compute -= 1
-        if self.cloud_recv[k]:
-            self.cloud_recv[k] = False
-            self._free_cloud_recv -= 1
-        if self.cloud_send[k]:
-            self.cloud_send[k] = False
-            self._free_cloud_send -= 1
+        self.cloud_compute[k] = False
+        self.cloud_recv[k] = False
+        self.cloud_send[k] = False
 
     def block_cloud_compute(self, k: int) -> None:
         """Mark only cloud ``k``'s compute slot taken (planned co-tenancy).
@@ -118,31 +97,18 @@ class ResourceLedger:
         Availability windows steal cycles, not bandwidth: the ports stay
         grantable while the compute slot is pre-claimed for the round.
         """
-        if self.cloud_compute[k]:
-            self.cloud_compute[k] = False
-            self._free_cloud_compute -= 1
+        self.cloud_compute[k] = False
 
-    def block_from_outlook(self, outlook, t: float) -> tuple[list, list, list, list]:
+    def block_from_outlook(self, outlook, t: float) -> None:
         """Pre-claim everything the capacity outlook says is down at ``t``.
 
         Blocks the answer of
-        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_at` (see
-        :meth:`block`) and returns it, so a caller can re-block the same
-        down-set in later rounds of the same constancy interval.  Only
-        valid right after :meth:`begin_round`.
+        :meth:`~repro.capacity.outlook.CapacityOutlook.blocked_at`:
+        crashed edge units and cloud processors whole, downed links
+        both ports, and clouds inside a static co-tenancy window
+        compute-only.  Only valid right after :meth:`begin_round`.
         """
-        blocked = outlook.blocked_at(t)
-        self.block(blocked)
-        return blocked
-
-    def block(self, blocked: tuple[list, list, list, list]) -> None:
-        """Pre-claim the down-set ``(edges, clouds, links, cloud_compute_only)``.
-
-        Crashed edge units and cloud processors are blocked whole,
-        downed links both ports, and clouds inside a static co-tenancy
-        window compute-only.  Only valid right after :meth:`begin_round`.
-        """
-        edges, clouds, links, busy = blocked
+        edges, clouds, links, busy = outlook.blocked_at(t)
         for j in edges:
             self.block_edge(j)
         for k in clouds:
@@ -154,12 +120,8 @@ class ResourceLedger:
 
     def block_link(self, o: int) -> None:
         """Mark edge unit ``o``'s access link (both ports) unusable."""
-        if self.edge_send[o]:
-            self.edge_send[o] = False
-            self._free_edge_send -= 1
-        if self.edge_recv[o]:
-            self.edge_recv[o] = False
-            self._free_edge_recv -= 1
+        self.edge_send[o] = False
+        self.edge_recv[o] = False
 
     # -- grants ----------------------------------------------------------------
 
@@ -167,7 +129,6 @@ class ResourceLedger:
         """Claim edge unit ``j``'s compute slot; False if already taken."""
         if self.edge_compute[j]:
             self.edge_compute[j] = False
-            self._free_edge_compute -= 1
             return True
         return False
 
@@ -175,7 +136,6 @@ class ResourceLedger:
         """Claim cloud processor ``k``'s compute slot; False if taken."""
         if self.cloud_compute[k]:
             self.cloud_compute[k] = False
-            self._free_cloud_compute -= 1
             return True
         return False
 
@@ -184,8 +144,6 @@ class ResourceLedger:
         if self.edge_send[o] and self.cloud_recv[k]:
             self.edge_send[o] = False
             self.cloud_recv[k] = False
-            self._free_edge_send -= 1
-            self._free_cloud_recv -= 1
             return True
         return False
 
@@ -194,8 +152,6 @@ class ResourceLedger:
         if self.cloud_send[k] and self.edge_recv[o]:
             self.cloud_send[k] = False
             self.edge_recv[o] = False
-            self._free_cloud_send -= 1
-            self._free_edge_recv -= 1
             return True
         return False
 
@@ -211,17 +167,11 @@ class ResourceLedger:
         if act == ACT_COMPUTE:
             if k < 0:
                 self.edge_compute[o] = True
-                self._free_edge_compute += 1
             else:
                 self.cloud_compute[k] = True
-                self._free_cloud_compute += 1
         elif act == ACT_UPLINK:
             self.edge_send[o] = True
             self.cloud_recv[k] = True
-            self._free_edge_send += 1
-            self._free_cloud_recv += 1
         else:
             self.cloud_send[k] = True
             self.edge_recv[o] = True
-            self._free_cloud_send += 1
-            self._free_edge_recv += 1

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from repro.capacity import CapacityOutlook, ExpectationDiscount
-from repro.capacity.outlook import NO_DISCOUNT
+from repro.capacity.outlook import NO_DISCOUNT, expected_rework
 from repro.core.errors import ModelError
 from repro.core.intervals import Interval
 from repro.core.platform import Platform
 from repro.faults.model import FaultClassParams, exponential_fault_trace
-from repro.faults.trace import (
-    DOMAIN_CLOUD,
-    DOMAIN_EDGE,
-    DOMAIN_LINK,
-    FaultRates,
-    FaultTrace,
-    RenewalRates,
-)
+from repro.faults.trace import FaultRates, FaultTrace, RenewalRates
 from repro.sim.availability import CloudAvailability
 
 
@@ -173,10 +166,29 @@ class TestBlockedAtSweep:
     def test_counters_unchanged_by_the_sweep(self):
         outlook = CapacityOutlook(_platform(), _windows(), _trace())
         # Key changes at 1.0, back at 0.2 and at 2.0; 0.1 and the
-        # second 2.0 repeat the previous key.
+        # second 2.0 repeat the previous key, and a hit is a delta
+        # update, not a query.
         for t in (0.0, 0.1, 1.0, 0.2, 2.0, 2.0):
             outlook.blocked_at(t)
-        assert (outlook.n_queries, outlook.n_delta_updates) == (6, 2)
+        assert (outlook.n_queries, outlook.n_delta_updates) == (4, 2)
+
+    def test_a_hit_is_the_previous_answer_itself(self):
+        # Consumers tell an unchanged down-set by identity: an unchanged
+        # key hands back the very tuple of the previous answer, and a
+        # key change a new one, also when its lists are equal.
+        outlook = CapacityOutlook(_platform(), _windows(), _trace())
+        first = outlook.blocked_at(2.0)
+        assert outlook.blocked_at(2.2) is first
+        assert outlook.blocked_at(2.0) is first
+        moved = outlook.blocked_at(2.6)
+        assert moved is not first
+        assert outlook.blocked_at(2.7) is moved
+        # [6, 8) and [9, inf) hold the same (empty) down-set under
+        # different keys.
+        quiet = outlook.blocked_at(7.0)
+        again = outlook.blocked_at(9.5)
+        assert again == quiet == ([], [], [], [])
+        assert again is not quiet
 
 
 class TestDeliverableWork:
@@ -235,19 +247,17 @@ class TestExpectationDiscount:
         d = ExpectationDiscount.from_rates(rates)
         assert d.edge_availability == pytest.approx(10.0 / 11.0)
         assert d.cloud_availability == 1.0
-        assert d.availability_of(DOMAIN_EDGE) == d.edge_availability
-        assert d.recovery_of(DOMAIN_EDGE) == 1.0
-        assert d.recovery_of(DOMAIN_LINK) == 0.0
+        assert d.edge_mttr == 1.0
+        assert d.link_mttr == 0.0
 
     def test_expected_rework_superlinear(self):
-        d = ExpectationDiscount(cloud_mtbf=10.0)
-        short = d.expected_rework(1.0, DOMAIN_CLOUD)
-        long = d.expected_rework(10.0, DOMAIN_CLOUD)
+        short = expected_rework(1.0, 10.0)
+        long = expected_rework(10.0, 10.0)
         assert short == pytest.approx(10.0 * math.expm1(0.1))
         # Superlinear: ten times the work costs more than ten times the
         # expected busy time.
         assert long > 10.0 * short
 
     def test_expected_rework_infinite_mtbf_is_identity(self):
-        assert NO_DISCOUNT.expected_rework(7.0, DOMAIN_EDGE) == 7.0
-        assert NO_DISCOUNT.expected_rework(7.0, DOMAIN_LINK) == 7.0
+        assert expected_rework(7.0, NO_DISCOUNT.edge_mtbf) == 7.0
+        assert expected_rework(7.0, NO_DISCOUNT.link_mtbf) == 7.0

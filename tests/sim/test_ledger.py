@@ -4,6 +4,7 @@ from repro.capacity.outlook import CapacityOutlook
 from repro.core.intervals import Interval
 from repro.core.platform import Platform
 from repro.faults.trace import FaultTrace
+from repro.sim.availability import CloudAvailability
 from repro.sim.ledger import ACT_COMPUTE, ACT_DOWNLINK, ACT_UPLINK, ResourceLedger
 
 
@@ -139,8 +140,17 @@ class TestBlock:
     def test_block_claims_the_down_set(self):
         # Edge 0 and cloud 1 crashed, edge 1's link down, cloud 0
         # inside a co-tenancy window.
-        led = ledger(n_edge=3, n_cloud=2)
-        led.block(([0], [1], [1], [0]))
+        platform = Platform.create([0.5] * 3, n_cloud=2)
+        faults = FaultTrace(
+            edge_down={0: (Interval(0.0, 2.0),)},
+            cloud_down={1: (Interval(0.0, 2.0),)},
+            link_down={1: (Interval(0.0, 2.0),)},
+        )
+        windows = CloudAvailability({0: (Interval(0.0, 2.0),)})
+        outlook = CapacityOutlook(platform, windows, faults)
+        assert outlook.blocked_at(1.0) == ([0], [1], [1], [0])
+        led = ResourceLedger(platform)
+        led.block_from_outlook(outlook, 1.0)
         assert not led.grant_edge_compute(0)
         assert not led.grant_cloud_compute(1)
         # Co-tenancy takes the compute slot only.
@@ -152,20 +162,24 @@ class TestBlock:
         assert led.grant_uplink(2, 0)
         assert led.grant_downlink(0, 2)
 
-    def test_block_from_outlook_returns_the_blocked_set(self):
+    def test_block_from_outlook_blocks_the_down_set(self):
         platform = Platform.create([0.5] * 2, n_cloud=2)
         faults = FaultTrace(
             edge_down={1: (Interval(1.0, 3.0),)}, cloud_down={0: (Interval(0.0, 2.0),)}
         )
         outlook = CapacityOutlook(platform, faults=faults)
         led = ResourceLedger(platform)
-        blocked = led.block_from_outlook(outlook, 1.5)
-        assert blocked == ([1], [0], [], [])
-        # Re-blocking the returned set on a fresh round blocks the same.
+        assert led.block_from_outlook(outlook, 1.5) is None
+        # A second round in the same constancy interval, served from the
+        # outlook's cache, blocks the same.
         again = ResourceLedger(platform)
-        again.block(blocked)
+        again.block_from_outlook(outlook, 1.7)
+        assert (outlook.n_queries, outlook.n_delta_updates) == (1, 1)
         for lg in (led, again):
             assert not lg.grant_edge_compute(1)
             assert not lg.grant_cloud_compute(0)
             assert lg.grant_edge_compute(0)
             assert lg.grant_cloud_compute(1)
+            assert not lg.grant_uplink(0, 0)  # cloud 0's ports died with it
+            assert not lg.grant_downlink(1, 1)  # edge 1's ports died with it
+            assert lg.grant_uplink(0, 1)
